@@ -406,12 +406,21 @@ let runtime () =
   in
   let open Spice.Transient.Stats in
   let ratio = float_of_int s_fixed.steps /. float_of_int s_adapt.steps in
+  (* Per-solve wall time and Newton effort per accepted step: fewer
+     steps only pay if each step stays cheap. *)
+  let per_solve_ms s elapsed = elapsed *. 1e3 /. float_of_int (max 1 s.sims) in
+  let fixed_ms = per_solve_ms s_fixed t_fixed in
+  let adapt_ms = per_solve_ms s_adapt t_adapt in
+  let newton_per_step =
+    float_of_int s_adapt.newton_iters /. float_of_int (max 1 s_adapt.steps)
+  in
   Printf.printf
-    "  fixed    %8d accepted steps              %6.1f s\n\
-    \  adaptive %8d accepted steps (%d rejected) %6.1f s\n\
-    \  step ratio %.2fx fewer; gate-delay drift max %.4f ps avg %.4f ps\n"
-    s_fixed.steps t_fixed s_adapt.steps s_adapt.rejected_steps t_adapt ratio
-    max_delta avg_delta;
+    "  fixed    %8d accepted steps              %6.1f s  %6.2f ms/solve\n\
+    \  adaptive %8d accepted steps (%d rejected) %6.1f s  %6.2f ms/solve\n\
+    \  step ratio %.2fx fewer; %.2f Newton iterations per adaptive step\n\
+    \  gate-delay drift max %.4f ps avg %.4f ps\n"
+    s_fixed.steps t_fixed fixed_ms s_adapt.steps s_adapt.rejected_steps t_adapt
+    adapt_ms ratio newton_per_step max_delta avg_delta;
   (* Determinism: the adaptive sweep on two domains must reproduce the
      sequential result bit-for-bit. *)
   let pool2 = Runtime.Pool.create ~jobs:2 () in
@@ -438,6 +447,9 @@ let runtime () =
            ("avg_delay_delta_ps", Printf.sprintf "%.6f" avg_delta);
            ("fixed_elapsed_s", Printf.sprintf "%.3f" t_fixed);
            ("adaptive_elapsed_s", Printf.sprintf "%.3f" t_adapt);
+           ("fixed_per_solve_ms", Printf.sprintf "%.3f" fixed_ms);
+           ("adaptive_per_solve_ms", Printf.sprintf "%.3f" adapt_ms);
+           ("adaptive_newton_per_step", Printf.sprintf "%.3f" newton_per_step);
            ("parallel_deterministic", if deterministic then "true" else "false");
          ])
 

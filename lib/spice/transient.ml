@@ -150,9 +150,12 @@ let config_fingerprint cfg =
           crossing_levels;
           crossing_dt;
         } ->
+        (* [adaptive.pred] names the step-error estimator: another
+           estimator picks different grids, so its cached traces must
+           never be served under this key. *)
         String.concat ","
           ([
-             "adaptive";
+             "adaptive.pred";
              f lte_tol;
              f dt_min;
              f dt_max;
@@ -1320,14 +1323,21 @@ let fixed_start st =
   st.c_k <- 1
 
 (* -------------- adaptive local-truncation-error grid ------------- *)
-(* Each step is solved twice, with the configured companion and with
-   the other one (trapezoidal vs backward Euler). Their discrepancy is
-   an O(h^2) estimate of the local truncation error; the controller
-   holds it below [lte_tol], growing the step on quiescent spans and
-   shrinking it through transitions. Source breakpoints are always
-   landed on exactly, and steps that carry any node across a
-   configured threshold level are refined to [crossing_dt] so
-   downstream crossing searches keep fixed-grid accuracy. *)
+(* Each step is one Newton solve with the configured companion, seeded
+   from the linear-extrapolation predictor
+   x_p = x + (x - x_prev) h / h_prev. The predictor misses the true
+   solution by x'' h (h + h_prev) / 2, so the corrector's distance from
+   it, scaled by h / (h + h_prev), is an O(h^2) estimate of the local
+   truncation error; the controller holds it below [lte_tol], growing
+   the step on quiescent spans and shrinking it through transitions. A
+   step without history (the first one, and the first after landing on
+   a source breakpoint, where the slope jumps) has no predictor: it is
+   solved a second time with the other companion (trapezoidal vs
+   backward Euler) and their discrepancy, the same O(h^2) quantity, is
+   the estimate. Source breakpoints are always landed on exactly, and
+   steps that carry any node across a configured threshold level are
+   refined to [crossing_dt] so downstream crossing searches keep
+   fixed-grid accuracy. *)
 let run_adaptive st a =
   let cp = st.c_cp and cfg = st.c_cfg and ws = st.c_ws and x = st.c_x in
   let nu = ws.nu in
@@ -1349,6 +1359,11 @@ let run_adaptive st a =
     done;
     !hit
   in
+  (* Nodes a voltage source imposes carry no truncation error; left in
+     the norm, a sampled-waveform stimulus's corners would read as
+     predictor error on every step. *)
+  let forced = Array.make cp.n false in
+  Array.iter (fun (nd, _) -> forced.(nd) <- true) cp.vsrc;
   let other =
     match cfg.integration with
     | Trapezoidal -> Backward_euler
@@ -1381,8 +1396,17 @@ let run_adaptive st a =
     let floor_dt = dt_min *. (1.0 +. 1e-9) in
     let at_floor = h <= floor_dt || (landing && !dt <= floor_dt) in
     case_load_caps st;
-    let xtrial = ws.xtrial in
-    Array.blit x 0 xtrial 0 nu;
+    let xtrial = ws.xtrial and xcomp = ws.xcomp in
+    let predicted = ws.have_prev in
+    if predicted then begin
+      let r = h /. ws.hprev in
+      let xp = ws.xprev in
+      for i = 0 to nu - 1 do
+        xcomp.(i) <- x.(i) +. ((x.(i) -. xp.(i)) *. r)
+      done;
+      Array.blit xcomp 0 xtrial 0 nu
+    end
+    else Array.blit x 0 xtrial 0 nu;
     if not (case_attempt st ~integ:cfg.integration ~t:t1 ~h xtrial) then begin
       if at_floor then raise (No_convergence t1);
       Atomic.incr Stats.bisections;
@@ -1390,18 +1414,21 @@ let run_adaptive st a =
       dt := Float.max dt_min (0.5 *. h)
     end
     else begin
-      let xcomp = ws.xcomp in
-      Array.blit x 0 xcomp 0 nu;
+      let max_dev () =
+        let e = ref 0.0 in
+        for i = 0 to cp.n - 1 do
+          let d = abs_float (xtrial.(i) -. xcomp.(i)) in
+          if d > !e && not forced.(i) then e := d
+        done;
+        !e
+      in
       let err =
-        if case_attempt st ~integ:other ~t:t1 ~h xcomp then begin
-          let e = ref 0.0 in
-          for i = 0 to cp.n - 1 do
-            let d = abs_float (xtrial.(i) -. xcomp.(i)) in
-            if d > !e then e := d
-          done;
-          !e
+        if predicted then max_dev () *. (h /. (h +. ws.hprev))
+        else begin
+          Array.blit x 0 xcomp 0 nu;
+          if case_attempt st ~integ:other ~t:t1 ~h xcomp then max_dev ()
+          else infinity
         end
-        else infinity
       in
       let lte_ok = err <= a.lte_tol in
       let crossing_viol =
@@ -1413,6 +1440,9 @@ let run_adaptive st a =
         Atomic.incr Stats.steps;
         case_charge_step st ~at:t1;
         case_commit st ~integ:cfg.integration ~h xtrial;
+        Array.blit x 0 ws.xprev 0 nu;
+        ws.hprev <- h;
+        ws.have_prev <- not landing;
         Array.blit xtrial 0 x 0 nu;
         t := t1;
         ts_rev := t1 :: !ts_rev;

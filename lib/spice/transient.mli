@@ -11,10 +11,14 @@
       time points, answers equal within the Newton tolerances); use it
       for regression references.
     - {b Adaptive}: local-truncation-error-controlled variable steps.
-      Every step is solved with both companion models; their
-      discrepancy estimates the LTE, which the controller keeps under
-      [lte_tol] by growing the step on quiescent spans (up to
-      [dt_max]) and shrinking it through transitions (down to
+      Every step is one Newton solve, started from the linear
+      extrapolation of the last accepted step; the solution's distance
+      from that predictor, scaled by [h / (h + h_prev)] and taken over
+      the nodes no voltage source imposes, estimates the LTE. A step with no history (the first, and the first after a
+      source breakpoint) is instead solved with both companion models
+      and their discrepancy is the estimate. The controller keeps the
+      estimate under [lte_tol] by growing the step on quiescent spans
+      (up to [dt_max]) and shrinking it through transitions (down to
       [dt_min]). Source breakpoints are landed on exactly; steps that
       carry any node voltage across one of [crossing_levels] are
       refined to [crossing_dt] so threshold-crossing searches keep
@@ -113,7 +117,9 @@ val with_adaptive :
   config
 (** Switch to adaptive stepping, overriding selected fields of the
     current adaptive settings (or {!default_adaptive} when coming from
-    [Fixed]). *)
+    [Fixed]). [lte_tol] bounds the predictor-based error estimate of
+    each accepted step (see the module header); a step costs one
+    Newton solve, two only when it has no predictor history. *)
 
 val is_adaptive : config -> bool
 
@@ -125,7 +131,9 @@ val with_crossing_levels_if_empty : config -> float list -> config
 val config_fingerprint : config -> string
 (** Lossless, exhaustive rendering of every solver field — the basis of
     [Runtime.Cache] keys. Two configs with equal fingerprints produce
-    bit-identical simulations. *)
+    bit-identical simulations. Adaptive configs also carry the name of
+    the step-error estimator, so traces from an earlier estimator are
+    never served; the fixed-grid rendering is unchanged by it. *)
 
 exception No_convergence of float
 (** Carries the simulation time at which Newton failed beyond the

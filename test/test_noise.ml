@@ -196,7 +196,8 @@ let test_run_table_survives_no_convergence () =
 
 let test_adaptive_matches_fixed_delays () =
   (* Adaptive stepping may not move the Table-1 reference gate delays
-     by more than a tenth of a picosecond on a Config I subset. *)
+     by more than a tenth of a picosecond: the default tolerance on a
+     Config I subset, then the served [fast] preset on both configs. *)
   let scen = Scenario.with_cases fast_scenario 2 in
   let fixed = Eval.run_table ~techniques:[ Eqwave.Sgdp.sgdp ] scen in
   let adaptive_engine =
@@ -212,7 +213,79 @@ let test_adaptive_matches_fixed_delays () =
       check_true "no failures" (a.Eval.delay_ref > 0.0 && b.Eval.delay_ref > 0.0);
       check_true "delay_ref within 0.1 ps"
         (abs_float (a.Eval.delay_ref -. b.Eval.delay_ref) < 0.1e-12))
-    fixed.Eval.cases adaptive.Eval.cases
+    fixed.Eval.cases adaptive.Eval.cases;
+  (* Edges and middle of the 200-point alignment grid, plus index 165,
+     Config I's peak, where the delay landscape is steepest. *)
+  List.iter
+    (fun sc ->
+      let taus = Scenario.taus sc in
+      List.iter
+        (fun i ->
+          let delay engine =
+            Eval.guard_reference_delay ~engine sc ~tau:taus.(i)
+          in
+          let d_ref = delay Runtime.Engine.reference in
+          let d_fast = delay Runtime.Engine.fast in
+          if abs_float (d_fast -. d_ref) >= 0.1e-12 then
+            Alcotest.failf "%s case %d: fast %.4f ps vs reference %.4f ps"
+              sc.Scenario.name i (d_fast *. 1e12) (d_ref *. 1e12))
+        [ 0; 100; 165; 199 ])
+    [ Scenario.config_i; Scenario.config_ii ]
+
+(* Solver effort of the served [fast] preset: one Newton solve per
+   adaptive step, not a trapezoidal/backward-Euler pair, so Newton
+   iterations and LU factorizations per accepted step stay low. The
+   dual-companion estimator spent 10 and 4.4. *)
+let test_fast_preset_effort () =
+  List.iter
+    (fun sc ->
+      let tau = (Scenario.taus sc).(165) in
+      let before = Spice.Transient.Stats.snapshot () in
+      ignore (Injection.noisy ~engine:Runtime.Engine.fast sc ~tau);
+      let d = Spice.Transient.Stats.(diff (snapshot ()) before) in
+      let steps = float_of_int d.Spice.Transient.Stats.steps in
+      let per what n =
+        let r = float_of_int n /. steps in
+        Printf.printf "%s: %.2f %s per accepted step\n" sc.Scenario.name r what;
+        r
+      in
+      check_true "solved" (steps > 0.0);
+      check_true "<= 5 Newton iterations per step"
+        (per "Newton iterations" d.Spice.Transient.Stats.newton_iters <= 5.0);
+      check_true "<= 2 factorizations per step"
+        (per "factorizations" d.Spice.Transient.Stats.factorizations <= 2.0))
+    [ Scenario.config_i; Scenario.config_ii ]
+
+(* Metamorphic time-shift oracle: moving the victim input and the
+   aggressor together by a whole number of full-chain steps changes
+   nothing physical, so the gate delay must not move beyond the
+   solver's grid sensitivity. The fixed grid keeps the same sample
+   phase, so it must agree to 0.01 ps; the adaptive grid starts from
+   the quiescent prefix and may land differently, so [fast] gets the
+   0.1 ps accuracy budget. *)
+let test_time_shift_invariance () =
+  List.iter
+    (fun (sc, i) ->
+      let tau = (Scenario.taus sc).(i) in
+      List.iter
+        (fun (engine, tol_ps) ->
+          let d0 = Eval.guard_reference_delay ~engine sc ~tau in
+          List.iter
+            (fun k ->
+              let s = float_of_int k *. sc.Scenario.dt in
+              let shifted =
+                { sc with Scenario.victim_t0 = sc.Scenario.victim_t0 +. s }
+              in
+              let d1 =
+                Eval.guard_reference_delay ~engine shifted ~tau:(tau +. s)
+              in
+              let moved_ps = abs_float (d1 -. d0) *. 1e12 in
+              if moved_ps > tol_ps then
+                Alcotest.failf "%s case %d, %s, shift %d steps: delay moved %.4f ps"
+                  sc.Scenario.name i (Runtime.Engine.name engine) k moved_ps)
+            [ -50; 13 ])
+        [ (Runtime.Engine.reference, 0.01); (Runtime.Engine.fast, 0.1) ])
+    [ (Scenario.config_i, 165); (Scenario.config_ii, 199) ]
 
 let suite =
   ( "noise",
@@ -235,4 +308,8 @@ let suite =
         test_run_table_survives_no_convergence;
       slow_case "eval: adaptive matches fixed delays"
         test_adaptive_matches_fixed_delays;
+      slow_case "injection: fast preset Newton effort"
+        test_fast_preset_effort;
+      slow_case "eval: time shift leaves delay unchanged"
+        test_time_shift_invariance;
     ] )

@@ -283,6 +283,30 @@ let test_config_fingerprint_exhaustive () =
     (fp (with_adaptive ~crossing_levels:[ 0.1; 0.5 ] base)
     <> fp (with_adaptive ~crossing_levels:[ 0.1 ] base))
 
+(* Cache entries outlive binaries, so the fingerprint pins the
+   step-error estimator too. The literals are the renderings the
+   dual-companion estimator's binaries wrote: fixed-grid keys must stay
+   byte-for-byte valid (the fixed path was not touched), while adaptive
+   keys must differ from them in the estimator tag alone. *)
+let test_config_fingerprint_estimator_tag () =
+  let fp e = Spice.Transient.config_fingerprint (Runtime.Engine.solver e) in
+  let common =
+    "tran.config|0x1.19799812dea11p-40|0x1.12e0be826d695p-28|0x0p+0|trap|\
+     0x1.ad7f29abcaf48p-24|0x1.12e0be826d695p-30|60|0x1.3333333333333p-1|\
+     0x1.19799812dea11p-40|10|0|auto|reuse|"
+  in
+  Alcotest.(check string)
+    "fixed-grid fingerprint unchanged" (common ^ "fixed")
+    (fp Runtime.Engine.reference);
+  let fast_params =
+    "0x1.0624dd2f1a9fcp-10,0x1.6849b86a12b9bp-47,0x1.b7cdfd9d7bdbbp-33,\
+     0x1p+1,0x1.ccccccccccccdp-1,0x0p+0"
+  in
+  Alcotest.(check string)
+    "adaptive fingerprint carries the estimator tag"
+    (common ^ "adaptive.pred," ^ fast_params)
+    (fp Runtime.Engine.fast)
+
 (* ------------------------------------------------------------------ *)
 (* Engine                                                              *)
 
@@ -450,6 +474,8 @@ let suite =
       case "metrics: timing and spice capture" test_metrics_time_and_capture;
       case "fingerprint: every config field matters"
         test_config_fingerprint_exhaustive;
+      case "fingerprint: estimator tag, fixed grid unchanged"
+        test_config_fingerprint_estimator_tag;
       case "engine: presets and of_name" test_engine_presets_and_of_name;
       case "engine: resolve, batch width, submit_batch"
         test_engine_resolve_and_batch;
