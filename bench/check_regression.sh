@@ -1,20 +1,15 @@
 #!/bin/sh
-# Solver hot-path, batch-kernel and crash-recovery regression gate.
+# Solver hot-path, crash-recovery and alignment-sweep regression gate.
 #
-# Re-runs two benchmark stages against committed baselines via the
-# benchmark's own --compare mode, then the self-gating crash drill:
+# Runs three benchmark stages: the kernel and sweep stages against
+# committed baselines via the benchmark's own --compare mode, and the
+# self-gating crash drill:
 #
 #   * kernel — the 20-case Config II sweep, dense LU without reuse vs
 #     the auto-selected banded kernel with Jacobian reuse, compared
 #     against BENCH_baseline.json. Fails when the optimized per-solve
 #     time regressed by more than 25% or any reference delay drifted
 #     by more than 0.01 ps.
-#   * batch — the same sweep through the batch-first lockstep kernel
-#     vs the one-at-a-time scalar loop, compared against
-#     BENCH_batch.json. Fails on >25% per-solve regression, >0.01 ps
-#     drift against the baseline delays, a sweep that never selects
-#     the batch path, or any drift at all between the batch kernel
-#     and the scalar loop (byte-identity is exact, not a tolerance).
 #   * crash — SIGKILL the supervised daemon twice mid-load and require
 #     zero acknowledged-and-lost responses, byte-identical replay,
 #     recovery within budget and a clean drain. Unlike the timing
@@ -37,17 +32,14 @@
 # a quiet machine with:
 #
 #   dune exec bench/main.exe -- kernel --json BENCH_baseline.json
-#   dune exec bench/main.exe -- batch --json BENCH_batch.json
 #   dune exec bench/main.exe -- sweep --cases 200 --json BENCH_sweep.json
 #
 # Usage: bench/check_regression.sh [BASELINE.json] [extra bench args...]
-#        BATCH_BASELINE=path overrides the batch baseline file.
 set -eu
 cd "$(dirname "$0")/.."
 
 baseline="${1:-BENCH_baseline.json}"
 [ $# -gt 0 ] && shift
-batch_baseline="${BATCH_BASELINE:-BENCH_batch.json}"
 
 if [ ! -f "$baseline" ]; then
   echo "check_regression: baseline $baseline not found" >&2
@@ -56,14 +48,6 @@ fi
 
 status=0
 dune exec bench/main.exe -- kernel --compare "$baseline" "$@" || status=$?
-
-if [ -f "$batch_baseline" ]; then
-  dune exec bench/main.exe -- batch --compare "$batch_baseline" "$@" \
-    || status=$?
-else
-  echo "check_regression: batch baseline $batch_baseline not found;" \
-    "skipping batch gate" >&2
-fi
 
 if [ "${CRASH_GATE:-1}" = "1" ]; then
   dune exec bench/main.exe -- crash || status=$?

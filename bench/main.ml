@@ -12,10 +12,6 @@
                 per-iteration refactorization vs the auto-selected
                 bordered-banded kernel with Jacobian reuse (per-solve
                 wall time, factorization counts, delay drift)
-     batch    — batch-first A/B on the same sweep: the lockstep
-                multi-case kernel behind Transient.run_batch vs the
-                one-at-a-time scalar loop (per-solve wall time,
-                batched/peeled counts, exact-identity drift check)
      ablation — SGDP design-choice ablations (DESIGN.md)
      nonoverlap — the two-stage-buffer receiver extension (the paper's
                 non-overlapping-transition case)
@@ -62,12 +58,13 @@
      --guard-tol-ps X guard delay tolerance in picoseconds (default 1)
      --solver KIND  linear-kernel selection: dense | banded | auto
      --no-jac-reuse refactor the Jacobian on every Newton iteration
-     --batch N      lockstep batch width the engine submits at a time
-                    (default 16; 1 disables lockstep batching)
-     --compare FILE regression gate for the kernel and batch sections:
-                    fail when the per-solve time regressed >25% or
-                    delays drifted >0.01 ps against FILE (a previous
-                    --json output) *)
+     --batch N      alignments per sweep warm-up task, and the largest
+                    request batch the daemon forms (default 16)
+     --compare FILE regression gate against FILE (a previous --json
+                    output): the kernel section fails when the
+                    per-solve time regressed >25% or delays drifted
+                    >0.01 ps, the sweep section when the pruned solve
+                    count grew >25% or the sparse ratio fell >20% *)
 
 (* The engine/runtime flags are the shared Runtime.Cli set; the parsed
    spec lands here before any section runs. *)
@@ -549,23 +546,43 @@ let kernel_compare ~opt_per_solve_ms ~delays_ps path =
           fail "delay drift %.4f ps vs baseline exceeds 0.01 ps" drift
         else Printf.printf "  delay drift %.4f ps vs baseline: ok\n" drift
 
-let kernel () =
-  header "Kernel: solver hot path (dense vs banded + Jacobian reuse)";
-  let n = Int.min !cases 20 in
-  let scen = Noise.Scenario.with_cases Noise.Scenario.config_ii n in
-  (* Fresh engines with neither pool nor cache so elapsed time and the
-     Stats counters measure real solver work. Both sides share the
-     CLI preset's step control; only the linear kernel and reuse
-     policy differ. *)
-  let base =
-    let s = cli_spec () in
-    let e = Runtime.Engine.of_name s.Runtime.Cli.engine_name in
+(* A fresh engine for a section that measures its own solver work: the
+   CLI preset with [--ltetol] layered on, and nothing shared. With
+   [~pooled:true] it also takes the run's pool, the [--batch] width and
+   a fresh in-memory cache, so consecutive sweeps cannot ride on each
+   other's cached waveforms. *)
+let section_engine ?(pooled = false) () =
+  let s = cli_spec () in
+  let e = Runtime.Engine.of_name s.Runtime.Cli.engine_name in
+  let e =
     match s.Runtime.Cli.ltetol with
     | Some tol ->
         Runtime.Engine.map_solver e (fun c ->
             Spice.Transient.with_adaptive ~lte_tol:tol c)
     | None -> e
   in
+  if not pooled then e
+  else
+    let e =
+      match Lazy.force pool with
+      | Some p -> Runtime.Engine.with_pool e p
+      | None -> e
+    in
+    let e =
+      match s.Runtime.Cli.batch with
+      | Some b -> Runtime.Engine.with_batch e b
+      | None -> e
+    in
+    Runtime.Engine.with_cache e (Runtime.Cache.create ())
+
+let kernel () =
+  header "Kernel: solver hot path (dense vs banded + Jacobian reuse)";
+  let n = Int.min !cases 20 in
+  let scen = Noise.Scenario.with_cases Noise.Scenario.config_ii n in
+  (* Neither pool nor cache, so elapsed time and the Stats counters
+     measure real solver work. Both sides share the CLI preset's step
+     control; only the linear kernel and reuse policy differ. *)
+  let base = section_engine () in
   let dense_engine =
     Runtime.Engine.with_jac_reuse
       (Runtime.Engine.with_solver_kind base Spice.Transient.Dense)
@@ -634,155 +651,6 @@ let kernel () =
          ]);
   match !compare_file with
   | Some path -> kernel_compare ~opt_per_solve_ms:opt_ms ~delays_ps:d_opt path
-  | None -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Batch: the lockstep multi-case kernel behind the batch-first API    *)
-
-(* JSON fragment from the batch-vs-scalar comparison, for --json and
-   the regression gate. *)
-let batch_json : string option ref = ref None
-
-let batch_compare ~batch_per_solve_ms ~delays_ps path =
-  let text = In_channel.with_open_text path In_channel.input_all in
-  let fail fmt =
-    Printf.ksprintf
-      (fun msg ->
-        Printf.printf "  REGRESSION vs %s: %s\n" path msg;
-        exit_code := 1)
-      fmt
-  in
-  (match scan_number text "batch_per_solve_ms" with
-  | None -> fail "baseline has no batch_per_solve_ms"
-  | Some base ->
-      let limit = base *. 1.25 in
-      if batch_per_solve_ms > limit then
-        fail "batch per-solve %.3f ms exceeds baseline %.3f ms by >25%%"
-          batch_per_solve_ms base
-      else
-        Printf.printf "  batch per-solve %.3f ms vs baseline %.3f ms: ok\n"
-          batch_per_solve_ms base);
-  match scan_array text "delays_ps" with
-  | None -> fail "baseline has no delays_ps array"
-  | Some base ->
-      if List.length base <> List.length delays_ps then
-        Printf.printf
-          "  (baseline has %d delays, this run %d — skipping drift check; \
-           re-run with matching --cases)\n"
-          (List.length base) (List.length delays_ps)
-      else
-        let drift =
-          List.fold_left2
-            (fun acc a b -> Float.max acc (abs_float (a -. b)))
-            0.0 base delays_ps
-        in
-        if drift > 0.01 then
-          fail "delay drift %.4f ps vs baseline exceeds 0.01 ps" drift
-        else Printf.printf "  delay drift %.4f ps vs baseline: ok\n" drift
-
-let batch_stage () =
-  header "Batch: lockstep multi-case kernel vs one-at-a-time scalar loop";
-  let n = Int.min !cases 20 in
-  let scen = Noise.Scenario.with_cases Noise.Scenario.config_ii n in
-  let s = cli_spec () in
-  (* Scalar side: the CLI preset exactly as the kernel section's
-     optimized engine runs it — sequential, uncached, one case at a
-     time. This is the BENCH_baseline.json configuration. *)
-  let scalar_engine =
-    let e = Runtime.Engine.of_name s.Runtime.Cli.engine_name in
-    match s.Runtime.Cli.ltetol with
-    | Some tol ->
-        Runtime.Engine.map_solver e (fun c ->
-            Spice.Transient.with_adaptive ~lte_tol:tol c)
-    | None -> e
-  in
-  (* Batch side: the same solver config behind the batch-first surface
-     — a lockstep batch width sized so the prewarm groups fill the
-     pool, a fresh in-memory cache for the kernel to publish into, and
-     worker domains for the fan-out. *)
-  let jobs =
-    if s.Runtime.Cli.jobs > 1 then s.Runtime.Cli.jobs
-    else Domain.recommended_domain_count ()
-  in
-  let bpool = if jobs > 1 then Some (Runtime.Pool.create ~jobs ()) else None in
-  let width =
-    match s.Runtime.Cli.batch with
-    | Some b -> b
-    | None -> Int.max 1 ((n + jobs - 1) / jobs)
-  in
-  let batch_engine =
-    let e = Runtime.Engine.with_batch scalar_engine width in
-    let e =
-      match bpool with Some p -> Runtime.Engine.with_pool e p | None -> e
-    in
-    Runtime.Engine.with_cache e (Runtime.Cache.create ())
-  in
-  let sweep engine =
-    let before = Spice.Transient.Stats.snapshot () in
-    let t0 = Unix.gettimeofday () in
-    let table =
-      Noise.Eval.run_table ~techniques:[ Eqwave.Sgdp.sgdp ] ~engine scen
-    in
-    let elapsed = Unix.gettimeofday () -. t0 in
-    let d = Spice.Transient.Stats.(diff (snapshot ()) before) in
-    ( List.map
-        (fun c -> c.Noise.Eval.delay_ref *. 1e12)
-        table.Noise.Eval.cases,
-      d,
-      elapsed )
-  in
-  let d_scalar, s_scalar, t_scalar = sweep scalar_engine in
-  let d_batch, s_batch, t_batch = sweep batch_engine in
-  Option.iter Runtime.Pool.shutdown bpool;
-  let open Spice.Transient.Stats in
-  let per_solve_ms elapsed (st : snapshot) =
-    if st.sims = 0 then 0.0 else elapsed *. 1e3 /. float_of_int st.sims
-  in
-  let scalar_ms = per_solve_ms t_scalar s_scalar in
-  let batch_ms = per_solve_ms t_batch s_batch in
-  let speedup = if batch_ms > 0.0 then scalar_ms /. batch_ms else 0.0 in
-  let drift_ps =
-    List.fold_left2
-      (fun acc a b -> Float.max acc (abs_float (a -. b)))
-      0.0 d_scalar d_batch
-  in
-  Printf.printf
-    "  %d-case Config II sweep\n\
-    \  scalar loop       %8.3f ms/solve  (%d sims, jobs 1)\n\
-    \  batch-first       %8.3f ms/solve  (%d sims, jobs %d, width %d, \
-     %d batched, %d peeled)\n\
-    \  speedup %.2fx; max delay drift %.4f ps\n"
-    n scalar_ms s_scalar.sims batch_ms s_batch.sims jobs width
-    s_batch.batched_solves s_batch.peeled_solves speedup drift_ps;
-  if s_batch.batched_solves = 0 then begin
-    Printf.printf "  FAIL: batch path never selected for the sweep\n";
-    exit_code := 1
-  end;
-  if drift_ps <> 0.0 then begin
-    Printf.printf
-      "  FAIL: batch kernel must be byte-identical to the scalar loop\n";
-    exit_code := 1
-  end;
-  batch_json :=
-    Some
-      (json_obj
-         [
-           ("n_cases", string_of_int n);
-           ("jobs", string_of_int jobs);
-           ("width", string_of_int width);
-           ("scalar_sims", string_of_int s_scalar.sims);
-           ("batch_sims", string_of_int s_batch.sims);
-           ("scalar_per_solve_ms", Printf.sprintf "%.6f" scalar_ms);
-           ("batch_per_solve_ms", Printf.sprintf "%.6f" batch_ms);
-           ("speedup", Printf.sprintf "%.4f" speedup);
-           ("batched_solves", string_of_int s_batch.batched_solves);
-           ("peeled_solves", string_of_int s_batch.peeled_solves);
-           ("max_delay_delta_ps", Printf.sprintf "%.6f" drift_ps);
-           ( "delays_ps",
-             json_list (List.map (Printf.sprintf "%.6f") d_batch) );
-         ]);
-  match !compare_file with
-  | Some path -> batch_compare ~batch_per_solve_ms:batch_ms ~delays_ps:d_batch path
   | None -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -895,32 +763,11 @@ let sweep_stage () =
     if s.Runtime.Cli.prune_tol_ps > 0.0 then s.Runtime.Cli.prune_tol_ps
     else 2.0
   in
-  (* Each side gets the shared solver config and pool but a fresh
-     in-memory cache, so the second sweep cannot ride on the first
-     one's published waveforms and the solve counts are honest. *)
-  let mk_engine () =
-    let e = Runtime.Engine.of_name s.Runtime.Cli.engine_name in
-    let e =
-      match s.Runtime.Cli.ltetol with
-      | Some tol ->
-          Runtime.Engine.map_solver e (fun c ->
-              Spice.Transient.with_adaptive ~lte_tol:tol c)
-      | None -> e
-    in
-    let e =
-      match Lazy.force pool with
-      | Some p -> Runtime.Engine.with_pool e p
-      | None -> e
-    in
-    let e =
-      match s.Runtime.Cli.batch with
-      | Some b -> Runtime.Engine.with_batch e b
-      | None -> e
-    in
-    Runtime.Engine.with_cache e (Runtime.Cache.create ())
-  in
+  (* Each side gets a fresh in-memory cache, so the second sweep cannot
+     ride on the first one's waveforms and the solve counts are
+     honest. *)
   let run config =
-    let engine = mk_engine () in
+    let engine = section_engine ~pooled:true () in
     let noiseless = Noise.Injection.noiseless ~engine scen in
     let t0 = Unix.gettimeofday () in
     let r = Noise.Alignment.search ~config ~engine scen ~noiseless in
@@ -2440,9 +2287,6 @@ let write_json path =
       @ (match !kernel_json with
         | Some j -> [ ("kernel", j) ]
         | None -> [])
-      @ (match !batch_json with
-        | Some j -> [ ("batch", j) ]
-        | None -> [])
       @ (match !sweep_json with
         | Some j -> [ ("sweep", j) ]
         | None -> [])
@@ -2508,9 +2352,11 @@ let () =
       value & opt (some string) None
       & info [ "compare" ] ~docv:"FILE"
           ~doc:
-            "Regression gate for the kernel and batch sections: fail \
-             when the per-solve time regressed >25% or delays drifted \
-             >0.01 ps against $(docv) (a previous $(b,--json) output).")
+            "Regression gate against $(docv) (a previous $(b,--json) \
+             output): the kernel section fails when the per-solve time \
+             regressed >25% or delays drifted >0.01 ps, the sweep \
+             section when the pruned solve count grew >25% or the \
+             sparse ratio fell >20%.")
   in
   let clients_arg =
     Arg.(
@@ -2655,7 +2501,6 @@ let () =
     stage "table1" table1;
     stage "runtime" runtime;
     stage "kernel" kernel;
-    stage "batch" batch_stage;
     stage "ablation" ablation;
     stage "nonoverlap" nonoverlap;
     stage "worstcase" worstcase;

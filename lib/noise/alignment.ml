@@ -25,8 +25,8 @@
    holds, and every alignment the search did solve is byte-identical
    to the exhaustive solve at that grid point. Pruned brackets are
    discarded for good (the incumbent only grows, so the decision is
-   final); each round's midpoints are batch-solved through the
-   lockstep kernel.
+   final); each round's midpoints are fanned out through
+   [Runtime.Engine.submit_batch].
 
    The model terms are conservative estimates and the observed-slope
    rate is an estimate outright (both carry the [safety] factor); the
@@ -247,8 +247,7 @@ let search ?(config = default) ?engine scenario ~noiseless =
   let n = Array.length taus in
   let delays = Array.make n None in
   let rounds = ref 0 in
-  (* Solve a round of grid indices: warm the lockstep batch kernel,
-     then fan the (now cached) probes out over the pool. *)
+  (* Solve a round of grid indices, fanned out over the pool. *)
   let solve_round idxs =
     match idxs with
     | [] -> ()
@@ -256,9 +255,6 @@ let search ?(config = default) ?engine scenario ~noiseless =
         incr rounds;
         let arr = Array.of_list idxs in
         let k = Array.length arr in
-        ignore
-          (Injection.prewarm_noisy ~engine scenario
-             (Array.map (fun i -> taus.(i)) arr));
         let ds =
           Runtime.Engine.submit_batch engine k (fun j ->
               delay_at ~engine scenario ~noiseless ~tau:taus.(arr.(j)))

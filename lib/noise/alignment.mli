@@ -2,7 +2,7 @@
 
     The exhaustive alignment sweep solves one transient per grid
     point. Most alignments are not worth solving: [search] solves a
-    coarse sub-grid (batched through the lockstep kernel),
+    coarse sub-grid (fanned out with {!Runtime.Engine.submit_batch}),
     upper-bounds every unexplored bracket — from a superposition
     estimate on the linear coupled interconnect
     ({!Interconnect.Noise_bound}) capping the total delay push-out,
@@ -102,10 +102,10 @@ val search :
   ?config:config -> ?engine:Runtime.Engine.t -> Scenario.t ->
   noiseless:Injection.run -> result
 (** Run the search over [Scenario.taus scenario]. Solved rounds are
-    warmed through {!Injection.prewarm_noisy} and fanned out with
-    {!Runtime.Engine.submit_batch}; ties break toward the lowest grid
-    index (first maximum wins), matching the exhaustive sweep. Updates
-    {!Stats} and, when the engine carries a metrics registry, the
-    [noise.alignments_solved] / [noise.alignments_pruned] counters. *)
+    fanned out with {!Runtime.Engine.submit_batch}; ties break toward
+    the lowest grid index (first maximum wins), matching the
+    exhaustive sweep. Updates {!Stats} and, when the engine carries a
+    metrics registry, the [noise.alignments_solved] /
+    [noise.alignments_pruned] counters. *)
 
 val pp_stats : Format.formatter -> stats -> unit

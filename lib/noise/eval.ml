@@ -407,22 +407,19 @@ let run_table ?reference ?techniques ?samples ?ladder ?progress
                      [ Printf.sprintf "prune:%h" prune_tol_ps ]
                    else [])))
   in
-  (* Batch-first warm-up: solve the alignment sweep's noisy runs
-     through the lockstep multi-case kernel before the per-case
-     evaluation walks them, splitting batch-sized groups over the
-     pool. The kernel produces byte-identical waveforms (same stepping
-     code path), published into the cache under the keys the scalar
-     path reads, so the sweep below sees cache hits; cases the batch
-     failed to solve or validate stay uncached and go through the full
-     scalar resilience ladder as before. Skipped when there is no
-     cache (nowhere to publish), when batching is off, and when a
-     fault plan is armed — deterministic fault assignment is by solve
-     index, which warm-up would reorder. Checkpoint-replayed cases are
-     not warmed: they will not simulate at all. *)
+  (* Warm-up: solve the alignment sweep's noisy runs before the
+     per-case evaluation walks them, splitting batch-sized groups over
+     the pool. Each run is cached under the key the per-case path
+     reads, so the sweep below sees cache hits; cases whose ladder is
+     exhausted stay uncached and the per-case call reports them.
+     Skipped when there is no cache (nowhere to keep the runs) and
+     when a fault plan is armed — deterministic fault assignment is by
+     solve index, which warm-up would reorder. Checkpoint-replayed
+     cases are not warmed: they will not simulate at all. *)
   let () =
     let b = Runtime.Engine.batch engine in
     if
-      b > 1 && (not pruning)
+      (not pruning)
       && Option.is_some (Runtime.Engine.cache engine)
       && (not (Spice.Transient.Fault.is_armed ()))
       && Result.is_ok noiseless
@@ -490,7 +487,7 @@ let run_table ?reference ?techniques ?samples ?ladder ?progress
   in
   (* Which grid indices actually get evaluated: all of them, or — when
      pruning — only the alignments the branch-and-bound search solved
-     (its batched rounds already left those runs in the cache). *)
+     (its rounds already left those runs in the cache). *)
   let indices, prune_stats =
     if not pruning then (Array.init total Fun.id, None)
     else

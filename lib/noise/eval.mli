@@ -167,13 +167,12 @@ val run_table :
     {!Runtime.Engine.submit_batch}; the resulting table is identical
     to the sequential one — rows and cases stay in input order.
 
-    When the engine carries a cache and its batch width is above 1,
-    the not-yet-cached (and not-yet-checkpointed) alignments are first
-    warmed through the lockstep multi-case transient kernel
-    ({!Injection.prewarm_noisy}) in engine-batch-sized groups, so the
-    per-case evaluations below hit the cache. Warming publishes only
-    validated results under the exact keys the scalar path reads, so
-    the table stays byte-identical to the unwarmed sweep.
+    When the engine carries a cache, the not-yet-cached (and
+    not-yet-checkpointed) alignments are first warmed through
+    {!Injection.prewarm_noisy} in engine-batch-sized groups, so the
+    per-case evaluations hit the cache. Warming stores only validated
+    results under the exact keys the per-case path reads, so the table
+    stays byte-identical to the unwarmed sweep.
 
     Sweeps always return a table: a case whose simulation fails beyond
     the engine's {!Runtime.Resilience} fallback ladder becomes a row

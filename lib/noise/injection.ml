@@ -31,8 +31,8 @@ let reject_cached cache key_of config =
 
 (* The key digests the attempt's own config fingerprint, so ladder
    rungs (which each resolve to a distinct config) never alias the
-   primary attempt's entries. Shared with [prewarm_noisy], which must
-   publish batch results under exactly the key the scalar path reads. *)
+   primary attempt's entries. [prewarm_noisy] probes the same key to
+   skip alignments that are already cached. *)
 let sim_key scenario config ~aggressor_active ~tau =
   Runtime.Cache.Key.(
     make "injection.simulate"
@@ -101,77 +101,32 @@ let noiseless ?engine scenario =
 let noisy ?engine scenario ~tau =
   simulate ?engine scenario ~aggressor_active:true ~tau
 
-(* Batch-first cache warming for an alignment sweep: every
-   not-yet-cached tau is solved through the lockstep multi-case kernel
-   ([Spice.Transient.run_batch_outcomes]) and the successful, validated
-   waveform pairs are published into the engine's cache under exactly
-   the key the scalar [noisy] path computes for its primary attempt.
-   Failed or invalid cases are simply not cached — the later scalar
-   call re-solves them under the full resilience ladder, so per-case
-   retry and deadline semantics are untouched. Returns how many cases
-   the batch kernel solved (0 without a cache: nowhere to publish). *)
+(* Cache warming for an alignment sweep: every not-yet-cached tau is
+   solved through [noisy], which stores it under its primary-attempt
+   key. A tau whose ladder is exhausted is skipped; the sweep's own
+   per-case call reports it. *)
 let prewarm_noisy ?engine scenario taus =
   let engine = Runtime.Engine.resolve engine in
-  if Spice.Transient.Fault.is_armed () then
-    (* Deterministic fault plans assign faults by solve index; warming
-       would reorder the sequence. Let the scalar path roll them. *)
-    0
-  else
   match Runtime.Engine.cache engine with
   | None -> 0
+  | Some _ when Spice.Transient.Fault.is_armed () ->
+      (* Deterministic fault plans assign faults by solve index; warming
+         would reorder the sequence. Let the sweep roll them. *)
+      0
   | Some cache ->
       let config =
         solver_config engine scenario ~dt:scenario.Scenario.dt
           ~tstop:scenario.Scenario.tstop
       in
-      let key tau = sim_key scenario config ~aggressor_active:true ~tau in
-      let missing =
-        Array.of_seq
-          (Seq.filter
-             (fun tau -> Option.is_none (Runtime.Cache.find cache (key tau)))
-             (Array.to_seq taus))
-      in
-      if Array.length missing = 0 then 0
-      else begin
-        let builds =
-          Array.map
-            (fun tau -> Scenario.build scenario ~aggressor_active:true ~tau)
-            missing
-        in
-        let ckts = Array.map fst builds in
-        let ics = Array.map snd builds in
-        let deadline_ms = Runtime.Engine.deadline_ms engine in
-        let out =
-          Runtime.Pool.with_deadline ?ms:deadline_ms (fun () ->
-              Spice.Transient.run_batch_outcomes ~config ~ics ckts)
-        in
-        let policy = Runtime.Engine.resilience engine in
-        let proc = scenario.Scenario.proc in
-        let th = Device.Process.thresholds proc in
-        let solved = ref 0 in
-        Array.iteri
-          (fun i outcome ->
-            match outcome with
-            | Error _ -> ()
-            | Ok res ->
-                incr solved;
-                let far =
-                  Spice.Transient.probe res (Scenario.victim_far_node scenario)
-                in
-                let rcv =
-                  Spice.Transient.probe res (Scenario.victim_rcv_node scenario)
-                in
-                let invalid =
-                  Runtime.Resilience.validate_waves policy
-                    ~rails:(0.0, proc.Device.Process.vdd)
-                    ~crossing:(Waveform.Thresholds.v_mid th)
-                    [ ("victim far end", far); ("receiver output", rcv) ]
-                in
-                if invalid = None then
-                  Runtime.Cache.store cache (key missing.(i)) [ far; rcv ])
-          out;
-        !solved
-      end
+      Array.fold_left
+        (fun solved tau ->
+          let key = sim_key scenario config ~aggressor_active:true ~tau in
+          if Option.is_some (Runtime.Cache.find cache key) then solved
+          else
+            match noisy ~engine scenario ~tau with
+            | _ -> solved + 1
+            | exception Runtime.Failure.Error _ -> solved)
+        0 taus
 
 let receiver_response ?dt ?engine scenario ~input ~tstop =
   let open Spice in

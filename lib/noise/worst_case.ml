@@ -23,7 +23,7 @@ let search ?(coarse = 24) ?(refine = 12) ?(prune_tol_ps = 0.0) ?samples
     delay_at ~engine scenario ~noiseless ~tau
   in
   (* The coarse scan is the branch-and-bound part: with a zero
-     tolerance it is the plain grid sweep (batched, first maximum
+     tolerance it is the plain grid sweep (fanned out, first maximum
      wins); with a positive tolerance provably non-critical brackets
      are bounded away. The golden-section polish below is inherently
      sequential and unchanged either way. *)

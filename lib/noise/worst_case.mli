@@ -34,13 +34,12 @@ val search :
     (default 0, exhaustive) positive, provably non-critical brackets
     of the coarse grid are bounded away unsolved — then runs [refine]
     (default 12) golden-section steps around the best bracket. The
-    coarse scan is first warmed through the lockstep batch kernel
-    ({!Injection.prewarm_noisy}) when the engine carries a cache, then
-    fans out over the engine's pool ({!Runtime.Engine.submit_batch});
-    the refinement is sequential. The result is independent of the
-    pool and of the warm-up. The worst-case waveform is finally mapped
-    to [gamma] through [ladder] (default {!Eqwave.Ladder.default})
-    with [samples] sampling points — the noisy run at the winning
-    alignment is served from cache, so this adds only the fits. *)
+    coarse scan fans out over the engine's pool
+    ({!Runtime.Engine.submit_batch}); the refinement is sequential.
+    The result is independent of the pool. The worst-case waveform is
+    finally mapped to [gamma] through [ladder] (default
+    {!Eqwave.Ladder.default}) with [samples] sampling points — the
+    noisy run at the winning alignment is served from cache, so this
+    adds only the fits. *)
 
 val pp : Format.formatter -> result -> unit

@@ -87,10 +87,9 @@ let spec_term ?(default_engine = "reference") ?default_cache_dir () =
     in
     Arg.(value & opt (some c) None
          & info [ "batch" ] ~docv:"N"
-             ~doc:"Batch width: cases grouped into one lockstep \
-                   multi-case solve (and the pool chunk of a batch \
-                   submission). 1 disables lockstep batching; the \
-                   default is the engine's width (16).")
+             ~doc:"Batch width: alignments one sweep warm-up task \
+                   solves, and the largest request batch the daemon \
+                   forms. The default is the engine's width (16).")
   in
   let no_cache =
     Arg.(value & flag

@@ -70,9 +70,9 @@ val guard : t -> Guard.t option
     no cross-validation. *)
 
 val batch : t -> int
-(** Batch width: how many cases a harness groups into one
-    [Spice.Transient.run_batch] submission (and the default pool chunk
-    of {!submit_batch}). 1 disables lockstep batching. *)
+(** Batch width: how many alignments one [Noise.Eval.run_table]
+    warm-up task solves, and the largest request batch [sta_serve]
+    forms. *)
 
 val with_solver : t -> Spice.Transient.config -> t
 val with_pool : t -> Pool.t -> t
@@ -108,8 +108,8 @@ val submit_batch : ?chunk:int -> t -> int -> (int -> 'a) -> 'a array
     engine's pool (inline when it has none) and returns the results in
     input order — the single fan-out point every harness routes
     through. [chunk] overrides how many consecutive indices a domain
-    claims at a time; the default is the engine's {!batch} width, so a
-    worker that batches its slice sees whole sub-batches. *)
+    claims at a time; the default is {!Pool.map}'s, several chunks per
+    domain, so even a small fan-out spreads over the pool. *)
 
 val is_adaptive : t -> bool
 val pp : Format.formatter -> t -> unit

@@ -24,7 +24,11 @@
       refined to [crossing_dt] so threshold-crossing searches keep
       their fixed-grid accuracy. Probed waveforms then live on a
       non-uniform grid — all [Waveform.Wave] consumers interpolate, so
-      this is transparent downstream. *)
+      this is transparent downstream.
+
+    Each case is one {!run} with its own workspace; callers fan
+    independent cases out themselves (the harnesses use
+    [Runtime.Engine.submit_batch]). *)
 
 type integration = Trapezoidal | Backward_euler
 
@@ -176,13 +180,10 @@ module Stats : sig
         (** [run]s (and DC solves) that selected the bordered-banded
             kernel rather than dense *)
     batched_solves : int;
-        (** cases that went through the lockstep batch kernel of
-            {!run_batch} (conforming lanes, whether or not they
-            completed) *)
-    peeled_solves : int;
-        (** {!run_batch} cases peeled to the scalar path: structure
-            mismatch with the batch reference, or an adaptive-stepping
-            config *)
+        (** always 0: every solve takes the one {!run} path. Kept (with
+            [peeled_solves]) only because the repository benchmark
+            ([perfbench/common.ml]) reads it; not printed by {!pp}. *)
+    peeled_solves : int;  (** always 0; see [batched_solves] *)
   }
 
   val snapshot : unit -> snapshot
@@ -238,8 +239,9 @@ module Fault : sig
 
   val is_armed : unit -> bool
   (** Whether a plan is currently armed. Harnesses use this to skip
-      optimizations (e.g. batch cache warm-up) that would reorder the
-      solve-index sequence a deterministic plan assigns faults by. *)
+      optimizations (e.g. the cache warm-up ahead of a sweep) that
+      would reorder the solve-index sequence a deterministic plan
+      assigns faults by. *)
 
   val injected : unit -> int
   (** Total faults injected — alias for [Stats.injected_faults]. *)
@@ -257,50 +259,6 @@ val run : ?config:config -> ?ic:(string * float) list -> Circuit.t -> result
     (with sources evaluated there); [ic] entries override individual
     node voltages as Newton starting guesses for the DC solve, which is
     how logic-level hints are passed in. *)
-
-val run_batch :
-  ?config:config ->
-  ?ics:(string * float) list array ->
-  Circuit.t array ->
-  result array
-(** Batch-first solve: simulate every circuit under one shared
-    [config], producing exactly the results a sequential {!run} loop
-    would — byte-identical traces, same fault-plan assignment, same
-    per-case deadline semantics — but through a lockstep multi-case
-    kernel.
-
-    Cases that are structurally identical to the batch's first case
-    (same node/branch counts, same resistor/capacitor element values,
-    same source and MOSFET topology; source values and device
-    parameters free to differ — the alignment-sweep / process-corner
-    shape) share one ordering plan and advance in lockstep, one
-    fixed-grid interval per round, with committed state parked in
-    structure-of-arrays [Bigarray] slabs between rounds. Finished or
-    failed cases drop out of the round mask without stalling the rest.
-    Non-conforming cases — and every case under adaptive stepping,
-    whose step sequence is inherently per-case — are peeled to the
-    scalar path, preserving its behaviour exactly.
-
-    [ics] optionally gives per-case initial-condition hints (same
-    meaning as {!run}'s [ic]); its length must equal the batch's.
-
-    On a per-case failure the lowest-index failure is raised, as the
-    sequential loop would raise it — though unlike the loop, later
-    cases have already been attempted (their stats are counted). Use
-    {!run_batch_outcomes} to observe every case's outcome. A
-    caller-installed {!Deadline} budget is sliced per case: each case
-    may consume the full remaining budget on its own compute, so one
-    slow case is cancelled alone and its siblings complete. *)
-
-val run_batch_outcomes :
-  ?config:config ->
-  ?ics:(string * float) list array ->
-  Circuit.t array ->
-  (result, exn) Stdlib.result array
-(** Like {!run_batch} but per-case failures (non-convergence, deadline
-    cancellation, step-budget exhaustion, compile rejection) are
-    returned in place rather than raised, so callers with per-case
-    retry ladders ([Runtime.Resilience]) can recover individually. *)
 
 val times : result -> float array
 

@@ -4,7 +4,6 @@ let () =
       Test_numerics.suite;
       Test_waveform.suite;
       Test_spice.suite;
-      Test_batch.suite;
       Test_device.suite;
       Test_interconnect.suite;
       Test_liberty.suite;

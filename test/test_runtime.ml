@@ -373,6 +373,21 @@ let test_engine_resolve_and_batch () =
       check_true "submit_batch chunk override"
         (Runtime.Engine.submit_batch ~chunk:1 ep 37 (fun i -> i * i) = expect))
 
+(* A fan-out smaller than the batch width (a 9-point coarse alignment
+   round, a short Monte-Carlo run) must still spread over the pool:
+   each item sleeps so the other domain has time to claim work. *)
+let test_submit_batch_spreads_small_fanout () =
+  Runtime.Pool.with_pool ~jobs:2 (fun pool ->
+      let e = Runtime.Engine.with_pool Runtime.Engine.reference pool in
+      let ids =
+        Runtime.Engine.submit_batch e 9 (fun _ ->
+            Unix.sleepf 0.01;
+            (Domain.self () :> int))
+      in
+      let distinct = List.sort_uniq compare (Array.to_list ids) in
+      check_true "9 items ran on at least 2 domains"
+        (List.length distinct >= 2))
+
 let test_engine_setters () =
   let e = Runtime.Engine.make () in
   Alcotest.(check string) "custom name" "custom" (Runtime.Engine.name e);
@@ -399,8 +414,7 @@ let test_engine_setters () =
 
 let fast_scenario = { Noise.Scenario.config_i with Noise.Scenario.dt = 4e-12 }
 
-let test_parallel_run_table_identical () =
-  let scen = Noise.Scenario.with_cases fast_scenario 3 in
+let table_identical scen =
   let sequential = Noise.Eval.run_table scen in
   let parallel =
     Runtime.Pool.with_pool ~jobs:4 (fun pool ->
@@ -423,6 +437,15 @@ let test_parallel_run_table_identical () =
   Alcotest.(check int) "no new misses on the re-run" miss0
     (Runtime.Cache.misses cache);
   check_true "re-run served from cache" (Runtime.Cache.hits cache > 0)
+
+(* Both paper configurations. The cached runs go through the sweep's
+   warm-up, so "cached identical to uncached" and "no new misses" also
+   check that what the warm-up caches is exactly what the per-case path
+   reads. *)
+let test_parallel_run_table_identical () =
+  List.iter
+    (fun base -> table_identical (Noise.Scenario.with_cases base 3))
+    [ fast_scenario; { Noise.Scenario.config_ii with Noise.Scenario.dt = 4e-12 } ]
 
 let test_all_failed_row_reports_zero () =
   (* A technique that always bails must yield an honest all-failed row:
@@ -479,6 +502,8 @@ let suite =
       case "engine: presets and of_name" test_engine_presets_and_of_name;
       case "engine: resolve, batch width, submit_batch"
         test_engine_resolve_and_batch;
+      case "engine: submit_batch spreads a small fan-out"
+        test_submit_batch_spreads_small_fanout;
       case "engine: setters" test_engine_setters;
       slow_case "eval: parallel table identical to sequential"
         test_parallel_run_table_identical;
