@@ -86,14 +86,23 @@ let ladder =
     | Some names -> Eqwave.Ladder.of_names names
     | None -> Eqwave.Ladder.default)
 
+let metrics = Runtime.Metrics.create ()
+
 (* The one engine every sweep below runs on: the shared Runtime.Cli
    assembly (preset solver config with the flag overrides layered on,
-   plus the pool and cache the whole run shares). *)
-let engine = lazy (Runtime.Cli.engine_of_spec (cli_spec ()))
+   plus the pool and cache the whole run shares), counting into the
+   run's registry. *)
+let engine =
+  lazy
+    (Runtime.Engine.with_metrics (Runtime.Cli.engine_of_spec (cli_spec ()))
+       metrics)
+
 let pool = lazy (Runtime.Engine.pool (Lazy.force engine))
 let cache = lazy (Runtime.Engine.cache (Lazy.force engine))
 
-let metrics = Runtime.Metrics.create ()
+(* An in-process daemon counts into a registry of its own, as a
+   deployed one does. *)
+let daemon_engine e = Runtime.Engine.with_metrics e (Runtime.Metrics.create ())
 
 let section_enabled wanted = !sections = [] || List.mem wanted !sections
 
@@ -150,7 +159,10 @@ let figure2 () =
   let noiseless = Noise.Injection.noiseless ~engine:(Lazy.force engine) scen in
   let tau = representative_tau scen in
   let noisy = Noise.Injection.noisy ~engine:(Lazy.force engine) scen ~tau in
-  let ctx = Noise.Injection.ctx_of_runs scen ~noiseless ~noisy in
+  let ctx =
+    Noise.Injection.ctx_of_runs ~engine:(Lazy.force engine) scen ~noiseless
+      ~noisy
+  in
   let sens = Eqwave.Sensitivity.compute ctx in
   let region_nl = Eqwave.Technique.noiseless_critical_region ctx in
   let region_ny = Eqwave.Technique.noisy_critical_region ctx in
@@ -1088,7 +1100,7 @@ let serve_stage () =
           {
             Server.Daemon.default_config with
             addr = Server.Client.Unix_path sock;
-            engine = Lazy.force engine;
+            engine = daemon_engine (Lazy.force engine);
             queue_depth = !serve_queue_depth;
           }
         in
@@ -1377,7 +1389,8 @@ let chaos_stage () =
     {
       Server.Daemon.default_config with
       addr = Server.Client.Unix_path sock;
-      engine = Runtime.Engine.with_cache (Lazy.force engine) chaos_cache;
+      engine =
+        daemon_engine (Runtime.Engine.with_cache (Lazy.force engine) chaos_cache);
       queue_depth = !serve_queue_depth;
       max_conns;
       read_timeout_s = Some 0.25;

@@ -95,7 +95,7 @@ let ramp_is_finite (r : Waveform.Ramp.t) =
   Float.is_finite r.Waveform.Ramp.slope
   && Float.is_finite r.Waveform.Ramp.intercept
 
-let run t ctx =
+let run ?(fits = []) t ctx =
   let rec go rung skipped = function
     | [] -> Error (List.rev skipped)
     | (tech : Technique.t) :: rest -> (
@@ -109,7 +109,12 @@ let run t ctx =
             (* The predicate is a prediction; the fit itself can still
                reject (Unsupported) or signal a numeric domain error
                (Failure) — both degrade to the next rung. *)
-            match tech.Technique.run ctx with
+            let fit () =
+              match List.assq_opt tech fits with
+              | Some fit -> Lazy.force fit
+              | None -> tech.Technique.run ctx
+            in
+            match fit () with
             | exception Technique.Unsupported reason -> skip reason
             | exception Stdlib.Failure reason ->
                 skip (technique ^ ": " ^ reason)

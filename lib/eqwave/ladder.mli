@@ -51,10 +51,18 @@ val score : Technique.ctx -> Waveform.Ramp.t -> float
 (** The RMS deviation reported in {!outcome.score_v}, exposed for
     scoring ramps produced outside the ladder. *)
 
-val run : t -> Technique.ctx -> (outcome, skip list) result
+val run :
+  ?fits:(Technique.t * Waveform.Ramp.t Lazy.t) list ->
+  t -> Technique.ctx -> (outcome, skip list) result
 (** Try each rung in order: consult [applicable] first (an [Error]
     records a skip without paying for the fit), then run the fit,
     converting [Technique.Unsupported], [Stdlib.Failure] and non-finite
     ramps into skips. Returns [Error skips] when every rung was
     exhausted. Never raises for waveform-shaped reasons — a surviving
-    exception indicates a bug in a technique, not a bad waveform. *)
+    exception indicates a bug in a technique, not a bad waveform.
+
+    [fits] (default none) lends the ladder fits a caller runs anyway on
+    the same [ctx]: a rung whose technique is physically one of the
+    listed ones forces the paired [lazy (tech.run ctx)] instead of
+    fitting again, so it yields the same ramp or the same skip reason,
+    and a caller forcing it afterwards pays nothing. *)

@@ -76,6 +76,65 @@ let compute ?(output_shift = 0.0) ?(points = 201) (ctx : Technique.ctx) =
     drho_by_v;
   }
 
+(* rho depends on the noiseless arc alone, so a sweep or a server
+   extracts it once per arc, not once per call. The memo is keyed on
+   the two noiseless waves by physical identity — never on a scenario
+   or config name, which a resilience fallback or a re-solve can map
+   to different waves — and holds them weakly, so an arc's entries die
+   with its waves. Each arc keeps one entry per (thresholds, shift,
+   points). *)
+module Arc_wave = struct
+  type t = Waveform.Wave.t
+
+  let equal = ( == )
+
+  (* Identity decides equality; the hash only spreads arcs over the
+     buckets. Waves from one solver grid share their leading samples,
+     so hash a mid-span value rather than the start. *)
+  let hash w =
+    let open Waveform.Wave in
+    Hashtbl.hash (length w, value_at w (0.5 *. (t_start w +. t_end w)))
+end
+
+module Arcs = Ephemeron.K2.Make (Arc_wave) (Arc_wave)
+
+type entry = {
+  th : Waveform.Thresholds.t;
+  shift : float;
+  points : int;
+  sens : t;
+}
+
+let arcs : entry list Arcs.t = Arcs.create 16
+
+(* One lock over the table, held through an extraction so concurrent
+   callers on one arc wait for it instead of extracting twice. *)
+let arcs_lock = Mutex.create ()
+
+let shared ?(output_shift = 0.0) ?(points = 201) (ctx : Technique.ctx) =
+  let key = (ctx.Technique.noiseless_in, ctx.Technique.noiseless_out) in
+  let sens, counter =
+    Mutex.protect arcs_lock (fun () ->
+        let entries = Option.value ~default:[] (Arcs.find_opt arcs key) in
+        match
+          List.find_opt
+            (fun e ->
+              e.points = points
+              && Float.equal e.shift output_shift
+              && e.th = ctx.Technique.th)
+            entries
+        with
+        | Some e -> (e.sens, "eqwave.rho_reuses")
+        | None ->
+            let sens = compute ~output_shift ~points ctx in
+            Arcs.replace arcs key
+              ({ th = ctx.Technique.th; shift = output_shift; points; sens }
+              :: entries);
+            (sens, "eqwave.rho_extractions"))
+  in
+  Option.iter (fun m -> Runtime.Metrics.incr m counter) ctx.Technique.metrics;
+  sens
+
 let lookup_by_voltage s ys v =
   let xs = s.v_grid in
   let n = Array.length xs in

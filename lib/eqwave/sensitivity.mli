@@ -4,7 +4,13 @@
     defined on the noiseless critical region and zero outside. Because
     the noiseless input is monotone there, rho can also be indexed by
     input *voltage* — which is exactly the remapping SGDP-Step 2 uses
-    to carry the sensitivity onto the noisy waveform. *)
+    to carry the sensitivity onto the noisy waveform.
+
+    rho is a property of the noiseless arc alone, so it lives in one
+    place: {!shared} extracts it once per arc and output shift and
+    hands that value to every caller (SGDP's and WLS5's [applicable]
+    and [run], the fallback ladder, every case of a sweep, every warm
+    served request). {!compute} is the raw, uncached extraction. *)
 
 type t = {
   region : float * float;   (** noiseless critical region *)
@@ -24,6 +30,17 @@ val compute : ?output_shift:float -> ?points:int -> Technique.ctx -> t
     the noiseless critical region. [output_shift] shifts the noiseless
     output *earlier* by that amount before differentiating — the
     alignment step SGDP adds for non-overlapping transitions. *)
+
+val shared : ?output_shift:float -> ?points:int -> Technique.ctx -> t
+(** {!compute}'s result, extracted once per noiseless arc. Memoized on
+    the context's [noiseless_in] and [noiseless_out] waves by physical
+    identity (held weakly: an arc's entries die with its waves) plus
+    the thresholds, [output_shift] and [points] by value, so every
+    context built from the same noiseless run shares one extraction,
+    while a re-solved run — new waves — never sees a stale rho.
+    Domain-safe. Each call counts one ["eqwave.rho_extractions"] or
+    ["eqwave.rho_reuses"] on [ctx.metrics]. The value is shared between
+    callers: never mutate its arrays. *)
 
 val rho_at_voltage : t -> float -> float
 (** Sensitivity at a given input voltage level; 0 outside the critical

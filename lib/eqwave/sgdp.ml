@@ -143,7 +143,7 @@ let make options =
             if options.align_non_overlapping then Sensitivity.overlap_shift ctx
             else 0.0
           in
-          let sens = Sensitivity.compute ~output_shift:shift ctx in
+          let sens = Sensitivity.shared ~output_shift:shift ctx in
           let region = noisy_critical_region ctx in
           let ts = sample_times region ctx.samples in
           let rho, _ = rho_eff sens ctx ts in
@@ -168,7 +168,7 @@ let make options =
           if options.align_non_overlapping then Sensitivity.overlap_shift ctx
           else 0.0
         in
-        let sens = Sensitivity.compute ~output_shift:shift ctx in
+        let sens = Sensitivity.shared ~output_shift:shift ctx in
         let region = noisy_critical_region ctx in
         let ts = sample_times region ctx.samples in
         let vs = Array.map (Waveform.Wave.value_at ctx.noisy_in) ts in

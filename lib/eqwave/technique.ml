@@ -4,13 +4,15 @@ type ctx = {
   noiseless_in : Waveform.Wave.t;
   noiseless_out : Waveform.Wave.t;
   samples : int;
+  metrics : Runtime.Metrics.t option;
 }
 
 exception Unsupported of string
 
-let make_ctx ?(samples = 35) ~th ~noisy_in ~noiseless_in ~noiseless_out () =
+let make_ctx ?(samples = 35) ?metrics ~th ~noisy_in ~noiseless_in
+    ~noiseless_out () =
   if samples < 4 then invalid_arg "Technique.make_ctx: samples < 4";
-  { th; noisy_in; noiseless_in; noiseless_out; samples }
+  { th; noisy_in; noiseless_in; noiseless_out; samples; metrics }
 
 type t = {
   name : string;

@@ -5,7 +5,13 @@
     context supplies everything the paper's techniques consume: the
     noisy waveform, the noiseless waveform of the same transition, the
     gate's noiseless response (for the sensitivity-based techniques)
-    and the sampling budget P. *)
+    and the sampling budget P.
+
+    The sensitivity-based techniques (SGDP, WLS5) do not extract the
+    noiseless sensitivity rho themselves: they read it through
+    {!Sensitivity.shared}, which extracts it once per noiseless arc
+    (the [noiseless_in]/[noiseless_out] pair) and hands the same value
+    to every context built from those waves. *)
 
 type ctx = {
   th : Waveform.Thresholds.t;
@@ -13,10 +19,15 @@ type ctx = {
   noiseless_in : Waveform.Wave.t;
   noiseless_out : Waveform.Wave.t;
   samples : int; (** P, the paper's sampling-point count (35 by default) *)
+  metrics : Runtime.Metrics.t option;
+      (** where rho extractions and reuses are counted
+          ("eqwave.rho_extractions", "eqwave.rho_reuses"); normally the
+          engine's registry *)
 }
 
 val make_ctx :
   ?samples:int ->
+  ?metrics:Runtime.Metrics.t ->
   th:Waveform.Thresholds.t ->
   noisy_in:Waveform.Wave.t ->
   noiseless_in:Waveform.Wave.t ->

@@ -16,7 +16,7 @@ let wls5 =
                produce, so polarity contradictions and flat fits are
                rejected before fitting. *)
             match
-              let sens = Sensitivity.compute ctx in
+              let sens = Sensitivity.shared ctx in
               let ts = sample_times region ctx.samples in
               let rho = Array.map (Sensitivity.rho_at_time sens) ts in
               let peak =
@@ -34,7 +34,7 @@ let wls5 =
             | exception Unsupported reason -> Error reason));
     run =
       (fun ctx ->
-        let sens = Sensitivity.compute ctx in
+        let sens = Sensitivity.shared ctx in
         let region = noiseless_critical_region ctx in
         let ts = sample_times region ctx.samples in
         let vs = Array.map (Waveform.Wave.value_at ctx.noisy_in) ts in

@@ -197,9 +197,10 @@ let receiver_response ?dt ?engine scenario ~input ~tstop =
   | Ok _ -> assert false
   | Error f -> Runtime.Failure.fail f
 
-let ctx_of_runs ?samples scenario ~noiseless ~noisy =
+let ctx_of_runs ?engine ?samples scenario ~noiseless ~noisy =
   let proc = scenario.Scenario.proc in
   Eqwave.Technique.make_ctx ?samples
+    ?metrics:(Option.bind engine Runtime.Engine.metrics)
     ~th:(Device.Process.thresholds proc)
     ~noisy_in:noisy.far ~noiseless_in:noiseless.far
     ~noiseless_out:noiseless.rcv ()

@@ -54,6 +54,9 @@ val receiver_response :
     content fingerprint; opaque [Source.fn] stimuli always simulate. *)
 
 val ctx_of_runs :
-  ?samples:int -> Scenario.t -> noiseless:run -> noisy:run ->
-  Eqwave.Technique.ctx
-(** Assemble the technique context from the two simulation runs. *)
+  ?engine:Runtime.Engine.t -> ?samples:int -> Scenario.t ->
+  noiseless:run -> noisy:run -> Eqwave.Technique.ctx
+(** Assemble the technique context from the two simulation runs. Every
+    context built from one [noiseless] run shares one rho extraction
+    ({!Eqwave.Sensitivity.shared}); [engine] only names the registry
+    that counts them. *)

@@ -69,7 +69,9 @@ let search ?(coarse = 24) ?(refine = 12) ?(prune_tol_ps = 0.0) ?samples
   let gamma =
     match
       let noisy = Injection.noisy ~engine scenario ~tau:(fst !best) in
-      let ctx = Injection.ctx_of_runs ?samples scenario ~noiseless ~noisy in
+      let ctx =
+        Injection.ctx_of_runs ~engine ?samples scenario ~noiseless ~noisy
+      in
       Eqwave.Ladder.run ladder ctx
     with
     | Ok o -> Ok o

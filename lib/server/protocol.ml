@@ -496,7 +496,9 @@ let execute ~engine ?metrics query =
       guarded (fun () ->
           let noiseless = Noise.Injection.noiseless ~engine scen in
           let noisy = Noise.Injection.noisy ~engine scen ~tau in
-          let ctx = Noise.Injection.ctx_of_runs scen ~noiseless ~noisy in
+          let ctx =
+            Noise.Injection.ctx_of_runs ~engine scen ~noiseless ~noisy
+          in
           match Eqwave.Ladder.run ladder ctx with
           | Ok outcome -> Ok (gamma_body scen ~tau ladder outcome)
           | Error skips ->

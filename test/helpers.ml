@@ -27,3 +27,37 @@ let lcg_array seed n lo hi =
   Array.init n (fun _ ->
       state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
       lo +. ((hi -. lo) *. (float_of_int !state /. float_of_int 0x3FFFFFFF)))
+
+(* A registry counter; 0 when never bumped. *)
+let counter m name =
+  Option.value ~default:0 (List.assoc_opt name (Runtime.Metrics.counters m))
+
+(* Every array and scalar of an extracted rho, as exact bits. *)
+let sens_bits (s : Eqwave.Sensitivity.t) =
+  let open Eqwave.Sensitivity in
+  let bits = Array.map Int64.bits_of_float in
+  ( List.map bits
+      [ s.ts; s.vin; s.rho; s.drho_dv; s.v_grid; s.rho_by_v; s.drho_by_v ],
+    bits [| fst s.region; snd s.region; s.output_shift |] )
+
+(* A technique's Gamma_eff as exact bits, or its rejection reason. *)
+let fit_bits (tech : Eqwave.Technique.t) ctx =
+  match tech.Eqwave.Technique.run ctx with
+  | r ->
+      Ok
+        ( Int64.bits_of_float r.Waveform.Ramp.slope,
+          Int64.bits_of_float r.Waveform.Ramp.intercept )
+  | exception Eqwave.Technique.Unsupported reason -> Error reason
+
+(* Copies of the noiseless waves are a new arc to the rho memo, so a
+   ctx over them extracts rho from scratch: the uncached path. *)
+let fresh_arc (ctx : Eqwave.Technique.ctx) =
+  let copy w =
+    Waveform.Wave.create (Waveform.Wave.times w) (Waveform.Wave.values w)
+  in
+  {
+    ctx with
+    Eqwave.Technique.noiseless_in = copy ctx.Eqwave.Technique.noiseless_in;
+    noiseless_out = copy ctx.Eqwave.Technique.noiseless_out;
+    metrics = None;
+  }

@@ -170,6 +170,54 @@ let test_exhausted_reports_every_skip () =
              (s.Eqwave.Ladder.technique, s.Eqwave.Ladder.reason))
            skips)
 
+(* A technique that counts its fits. *)
+let counting (t : Eqwave.Technique.t) =
+  let calls = ref 0 in
+  ( { t with Eqwave.Technique.run = (fun ctx -> incr calls; t.Eqwave.Technique.run ctx) },
+    calls )
+
+let outcome_view = function
+  | Ok (o : Eqwave.Ladder.outcome) ->
+      Ok
+        ( o.Eqwave.Ladder.technique,
+          o.Eqwave.Ladder.rung,
+          Int64.bits_of_float o.Eqwave.Ladder.ramp.Waveform.Ramp.slope,
+          Int64.bits_of_float o.Eqwave.Ladder.ramp.Waveform.Ramp.intercept,
+          Int64.bits_of_float o.Eqwave.Ladder.score_v,
+          o.Eqwave.Ladder.skipped )
+  | Error skips -> Error skips
+
+(* Borrowed fits stand in for the rung's own: the same skip reasons
+   and the same ramp, byte for byte, with each technique fitted once
+   however often the ladder and its lender read the result. *)
+let test_borrowed_fits () =
+  let ctx = clean_ctx () in
+  let a, a_calls =
+    counting (tech "A" ~run:(fun _ -> raise (Eqwave.Technique.Unsupported "A bailed")))
+  in
+  let f, f_calls =
+    counting (tech "F" ~run:(fun _ -> failwith "domain error"))
+  in
+  let b, b_calls = counting (tech "B") in
+  let ladder = Eqwave.Ladder.make [ a; f; b ] in
+  let plain = outcome_view (Eqwave.Ladder.run ladder ctx) in
+  Alcotest.(check (list int)) "ladder alone fits each rung once" [ 1; 1; 1 ]
+    [ !a_calls; !f_calls; !b_calls ];
+  let fits = List.map (fun t -> (t, lazy (t.Eqwave.Technique.run ctx))) [ a; f; b ] in
+  let borrowed = outcome_view (Eqwave.Ladder.run ~fits ladder ctx) in
+  check_true "same outcome, bit for bit" (plain = borrowed);
+  List.iter
+    (fun (_, fit) -> try ignore (Lazy.force fit) with _ -> ())
+    fits;
+  Alcotest.(check (list int)) "the lender's forces cost nothing more"
+    [ 2; 2; 2 ]
+    [ !a_calls; !f_calls; !b_calls ];
+  (* Techniques match by identity, not name: a same-named variant's fit
+     is never borrowed. *)
+  let impostor = tech "B" ~run:(fun _ -> raise (Eqwave.Technique.Unsupported "impostor")) in
+  let other = outcome_view (Eqwave.Ladder.run ~fits:[ (impostor, lazy (impostor.Eqwave.Technique.run ctx)) ] ladder ctx) in
+  check_true "a same-named variant is not borrowed" (plain = other)
+
 let test_score_zero_for_exact_ramp () =
   (* The noisy input IS a saturated ramp, so the accepted rung's score
      against it should be tiny. *)
@@ -580,6 +628,50 @@ let test_table_degradation_summary () =
   let rendered = Format.asprintf "%a" Noise.Eval.pp_table t in
   check_true "pp mentions the ladder" (contains ~needle:"ladder" rendered)
 
+(* Table 1 evaluates SGDP in every case and the default ladder starts
+   with it: the case fits it once, and the mapping is what a ladder
+   fitting on its own reports. *)
+let test_case_fits_sgdp_once () =
+  let sgdp, calls = counting Eqwave.Sgdp.sgdp in
+  let ladder = Eqwave.Ladder.make [ sgdp; Eqwave.Wls.wls5; Eqwave.Point_based.p1 ] in
+  let engine = Runtime.Engine.with_cache Runtime.Engine.reference (Runtime.Cache.create ()) in
+  let noiseless = Noise.Injection.noiseless ~engine fast_scenario in
+  List.iter
+    (fun tau ->
+      calls := 0;
+      let c =
+        Noise.Eval.evaluate_case ~techniques:[ sgdp ] ~ladder ~engine
+          fast_scenario ~noiseless ~tau
+      in
+      Alcotest.(check int) "one SGDP fit per case" 1 !calls;
+      let noisy = Noise.Injection.noisy ~engine fast_scenario ~tau in
+      let ctx = Noise.Injection.ctx_of_runs fast_scenario ~noiseless ~noisy in
+      let expected =
+        match Eqwave.Ladder.run ladder ctx with
+        | Ok o ->
+            Ok
+              ( o.Eqwave.Ladder.technique,
+                o.Eqwave.Ladder.rung,
+                Int64.bits_of_float o.Eqwave.Ladder.score_v,
+                List.map
+                  (fun (s : Eqwave.Ladder.skip) ->
+                    (s.Eqwave.Ladder.technique, s.Eqwave.Ladder.reason))
+                  o.Eqwave.Ladder.skipped )
+        | Error _ -> Error ()
+      in
+      let got =
+        match c.Noise.Eval.mapping with
+        | Ok d ->
+            Ok
+              ( d.Noise.Eval.technique,
+                d.Noise.Eval.rung,
+                Int64.bits_of_float d.Noise.Eval.score_v,
+                d.Noise.Eval.skipped )
+        | Error _ -> Error ()
+      in
+      check_true "mapping equals the stand-alone ladder" (expected = got))
+    [ 0.2e-9; fast_scenario.Noise.Scenario.victim_t0; 0.95e-9 ]
+
 let test_fingerprint_covers_degradation_settings () =
   let fp ?ladder engine =
     Noise.Eval.sweep_fingerprint ~tag:"t" ~schema:"s" ?ladder ~techs:sgdp_only
@@ -630,6 +722,7 @@ let suite =
       case "ladder: skips recorded in order" test_skips_recorded_in_order;
       case "ladder: exhaustion reports skips" test_exhausted_reports_every_skip;
       case "ladder: exact ramp scores ~0" test_score_zero_for_exact_ramp;
+      case "ladder: borrowed fits" test_borrowed_fits;
       case "predicates: polarity pre-fit" test_polarity_contradiction_pre_fit;
       case "predicates: accept clean ctx" test_predicates_accept_clean_ctx;
       case "pathological: fixed shapes" test_pathological_shapes;
@@ -654,6 +747,7 @@ let suite =
         test_guarded_sweep_agrees_with_itself;
       slow_case "guard: flags disagreement" test_guard_flags_disagreement;
       slow_case "sweep: degradation summary" test_table_degradation_summary;
+      slow_case "eval: one SGDP fit per case" test_case_fits_sgdp_once;
       case "sweep: fingerprint covers settings"
         test_fingerprint_covers_degradation_settings;
       slow_case "montecarlo: all-failed is zero"

@@ -191,6 +191,44 @@ let test_overlap_shift_for_separated () =
   let ctx = synth_ctx ~delay:500e-12 () in
   approx ~eps:5e-12 "gap" 500e-12 (Sensitivity.overlap_shift ctx)
 
+(* An arc whose transitions do not overlap: SGDP reads rho at the
+   non-zero overlap shift, WLS5 at none. Each shift is extracted once
+   and reused by every later context over the same noiseless waves,
+   and Gamma_eff equals, bit for bit, what a fresh copy of the arc
+   (a new memo key, so a raw extraction) gives. *)
+let test_shared_rho_separated_arc () =
+  let open Waveform in
+  let base = synth_ctx ~delay:500e-12 () in
+  let shift = Sensitivity.overlap_shift base in
+  check_true "separated arc" (shift > 0.0);
+  let m = Runtime.Metrics.create () in
+  let ts = Wave.times base.Technique.noisy_in in
+  let with_dip depth =
+    let vs =
+      Array.map
+        (fun t ->
+          let v = Wave.value_at base.Technique.noisy_in t in
+          if t > 0.98e-9 && t < 1.04e-9 then Float.max 0.0 (v -. depth) else v)
+        ts
+    in
+    { base with Technique.noisy_in = Wave.create ts vs; metrics = Some m }
+  in
+  List.iter
+    (fun depth ->
+      let ctx = with_dip depth in
+      List.iter
+        (fun (tech : Technique.t) ->
+          check_true
+            (Printf.sprintf "%s at dip %.2f: bit-identical" tech.Technique.name depth)
+            (fit_bits tech ctx = fit_bits tech (fresh_arc ctx)))
+        [ Sgdp.sgdp; Wls.wls5 ])
+    [ 0.0; 0.1; 0.3 ];
+  Alcotest.(check int) "one extraction per shift" 2 (counter m "eqwave.rho_extractions");
+  Alcotest.(check int) "every later read reuses" 4 (counter m "eqwave.rho_reuses");
+  check_true "shared rho is the raw extraction"
+    (sens_bits (Sensitivity.shared ~output_shift:shift base)
+    = sens_bits (Sensitivity.compute ~output_shift:shift base))
+
 (* ------------------------------------------------------------------ *)
 (* WLS5 and SGDP                                                       *)
 
@@ -377,6 +415,7 @@ let suite =
       case "rho: zero outside band" test_rho_zero_outside_band;
       case "shift: zero when overlapping" test_overlap_shift_zero_when_overlapping;
       case "shift: gap when separated" test_overlap_shift_for_separated;
+      case "rho: shared over a separated arc" test_shared_rho_separated_arc;
       case "WLS5: noiseless-region filter" test_wls5_filters_outside_noise;
       case "SGDP: follows delayed edges" test_sgdp_sees_outside_noise;
       case "SGDP: second-order ablation" test_sgdp_second_order_ablation;

@@ -121,6 +121,102 @@ let test_ctx_of_runs () =
   check_true "direction" (Eqwave.Technique.direction ctx = Waveform.Wave.Rising)
 
 (* ------------------------------------------------------------------ *)
+(* Shared rho: one extraction per noiseless arc (slow)                 *)
+
+let same_sens what a b =
+  check_true (what ^ ": rho bit-identical") (sens_bits a = sens_bits b)
+
+(* SGDP's and WLS5's Gamma_eff through the shared rho equal the
+   uncached extraction's, bit for bit, on both paper configurations
+   and on the buffer receiver; and each arc extracts once per shift
+   however many alignments read it. (The buffer's input and output
+   critical regions still overlap here, so its shift is 0 too; the
+   non-zero shift is covered on a synthetic separated arc in the
+   eqwave suite.) *)
+let test_shared_rho_matches_uncached () =
+  List.iter
+    (fun scen ->
+      let engine =
+        Runtime.Engine.with_cache Runtime.Engine.reference (Runtime.Cache.create ())
+      in
+      let noiseless = Injection.noiseless ~engine scen in
+      let taus = Scenario.taus scen in
+      let m = Runtime.Metrics.create () in
+      let shift = ref 0.0 in
+      List.iter
+        (fun i ->
+          let noisy = Injection.noisy ~engine scen ~tau:taus.(i) in
+          let ctx =
+            { (Injection.ctx_of_runs scen ~noiseless ~noisy) with
+              Eqwave.Technique.metrics = Some m }
+          in
+          shift := Eqwave.Sensitivity.overlap_shift ctx;
+          let what = Printf.sprintf "%s case %d" scen.Scenario.name i in
+          List.iter
+            (fun (tech : Eqwave.Technique.t) ->
+              check_true
+                (what ^ ": " ^ tech.Eqwave.Technique.name ^ " Gamma_eff bit-identical")
+                (fit_bits tech ctx = fit_bits tech (fresh_arc ctx)))
+            [ Eqwave.Sgdp.sgdp; Eqwave.Wls.wls5 ];
+          List.iter
+            (fun output_shift ->
+              same_sens what
+                (Eqwave.Sensitivity.shared ~output_shift ctx)
+                (Eqwave.Sensitivity.compute ~output_shift ctx))
+            [ 0.0; !shift ])
+        [ 0; 100; 165; 199 ];
+      Alcotest.(check int)
+        (scen.Scenario.name ^ ": one extraction per shift")
+        (if !shift = 0.0 then 1 else 2)
+        (counter m "eqwave.rho_extractions");
+      check_true "later reads reuse it" (counter m "eqwave.rho_reuses" > 0))
+    [ Scenario.config_i; Scenario.config_ii; Scenario.config_i_buffer ]
+
+let noiseless_ctx ~engine scen =
+  let r = Injection.noiseless ~engine scen in
+  (r, Injection.ctx_of_runs scen ~noiseless:r ~noisy:r)
+
+(* Two presets solve one scenario to different waves: each gets its
+   own rho, whichever is read first. *)
+let test_shared_rho_per_preset () =
+  let _, c_ref = noiseless_ctx ~engine:Runtime.Engine.reference fast_scenario in
+  let _, c_fast = noiseless_ctx ~engine:Runtime.Engine.fast fast_scenario in
+  let s_ref = Eqwave.Sensitivity.shared c_ref in
+  let s_fast = Eqwave.Sensitivity.shared c_fast in
+  same_sens "reference" s_ref (Eqwave.Sensitivity.compute c_ref);
+  same_sens "fast" s_fast (Eqwave.Sensitivity.compute c_fast);
+  check_true "the presets' rho differ" (sens_bits s_ref <> sens_bits s_fast)
+
+(* A corrupt solve is purged from the cache and re-solved on a tighter
+   grid, under the same scenario and engine: the re-solved waves get
+   their own rho, and so does the clean re-solve that follows. *)
+let test_shared_rho_after_purge () =
+  let engine () =
+    Runtime.Engine.with_cache Runtime.Engine.reference (Runtime.Cache.create ())
+  in
+  let _, c1 = noiseless_ctx ~engine:(engine ()) fast_scenario in
+  let s1 = Eqwave.Sensitivity.shared c1 in
+  let e2 = engine () in
+  Spice.Transient.Fault.(arm (Nth { n = 0; kind = Corrupt }));
+  let _, c2 =
+    Fun.protect ~finally:Spice.Transient.Fault.disarm (fun () ->
+        noiseless_ctx ~engine:e2 fast_scenario)
+  in
+  let s2 = Eqwave.Sensitivity.shared c2 in
+  same_sens "re-solved" s2 (Eqwave.Sensitivity.compute c2);
+  check_true "the re-solve changed rho" (sens_bits s1 <> sens_bits s2);
+  let _, c3 = noiseless_ctx ~engine:e2 fast_scenario in
+  check_true "the purged entry was solved again"
+    (c3.Eqwave.Technique.noiseless_in != c2.Eqwave.Technique.noiseless_in);
+  let m = Runtime.Metrics.create () in
+  let s3 =
+    Eqwave.Sensitivity.shared { c3 with Eqwave.Technique.metrics = Some m }
+  in
+  Alcotest.(check int) "a new arc extracts" 1 (counter m "eqwave.rho_extractions");
+  same_sens "clean re-solve" s3 (Eqwave.Sensitivity.compute c3);
+  same_sens "clean re-solve equals the first solve" s1 s3
+
+(* ------------------------------------------------------------------ *)
 (* Eval (slow)                                                         *)
 
 let test_evaluate_case_all_techniques () =
@@ -301,6 +397,9 @@ let suite =
       slow_case "injection: early aggressor harmless" test_early_aggressor_no_effect_on_delay;
       slow_case "injection: replay faithful" test_receiver_response_matches_replay;
       slow_case "injection: ctx assembly" test_ctx_of_runs;
+      slow_case "rho: shared equals uncached" test_shared_rho_matches_uncached;
+      slow_case "rho: one per preset" test_shared_rho_per_preset;
+      slow_case "rho: purged run re-extracts" test_shared_rho_after_purge;
       slow_case "eval: one case, all techniques" test_evaluate_case_all_techniques;
       slow_case "eval: table shape" test_run_table_shape;
       slow_case "eval: pp renders" test_pp_table_renders;

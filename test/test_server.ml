@@ -304,6 +304,91 @@ let test_protocol_frame_limit () =
       | Error `Eof -> Alcotest.fail "oversized frame read as eof"
       | Error (`Timeout _) -> Alcotest.fail "oversized frame read as timeout")
 
+(* Served requests share one rho per noiseless arc: after the first
+   delay(SGDP) and gamma request per configuration, warm repeats on
+   the same engine extract nothing more. The counts are read back
+   through the [stats] op and the /metrics exposition, from the
+   engine's own registry. *)
+let test_protocol_rho_once_per_arc () =
+  let m = Runtime.Metrics.create () in
+  let engine =
+    Runtime.Engine.with_metrics
+      (Runtime.Engine.with_cache Runtime.Engine.fast (Runtime.Cache.create ()))
+      m
+  in
+  let configs = [ "i"; "ii"; "i_buffer" ] in
+  let tau = 1.0e-9 in
+  let queries config =
+    Server.Protocol.
+      [
+        Delay { config; tau; technique = "SGDP" };
+        Gamma { config; tau; ladder = None };
+      ]
+  in
+  let execute q =
+    match Server.Protocol.execute ~engine ~metrics:m q with
+    | Ok body -> body
+    | Error f -> Alcotest.failf "request failed: %s" (Runtime.Failure.to_string f)
+  in
+  let served () =
+    match execute Server.Protocol.Stats with
+    | Server.Json.Obj [ ("counters", Server.Json.Obj kvs) ] ->
+        let get k =
+          match List.assoc_opt k kvs with
+          | Some (Server.Json.Num n) -> int_of_float n
+          | _ -> 0
+        in
+        (get "eqwave.rho_extractions", get "eqwave.rho_reuses")
+    | _ -> Alcotest.fail "malformed stats reply"
+  in
+  (* SGDP reads rho at its overlap shift; every reply below resolves at
+     rung 0 (SGDP), so no other shift is ever read. *)
+  let arcs =
+    List.sort_uniq compare
+      (List.map
+         (fun config ->
+           let scen = Result.get_ok (Server.Protocol.scenario_of_name config) in
+           let noiseless = Noise.Injection.noiseless ~engine scen in
+           let noisy = Noise.Injection.noisy ~engine scen ~tau in
+           ( config,
+             Eqwave.Sensitivity.overlap_shift
+               (Noise.Injection.ctx_of_runs scen ~noiseless ~noisy) ))
+         configs)
+  in
+  let rung0 body =
+    match Server.Json.member "rung" body with
+    | Some rung -> rung = Server.Json.Num 0.0
+    | None -> (
+        match Option.bind (Server.Json.member "mapping" body) (Server.Json.member "rung") with
+        | Some rung -> rung = Server.Json.Num 0.0
+        | None -> false)
+  in
+  List.iter
+    (fun config ->
+      List.iter
+        (fun q -> check_true (config ^ ": resolved at rung 0") (rung0 (execute q)))
+        (queries config))
+    configs;
+  let cold, cold_reuses = served () in
+  Alcotest.(check int) "one extraction per (configuration, shift)"
+    (List.length arcs) cold;
+  let rounds = 5 in
+  for _ = 1 to rounds do
+    List.iter (fun config -> List.iter (fun q -> ignore (execute q)) (queries config)) configs
+  done;
+  let warm, warm_reuses = served () in
+  Alcotest.(check int) "warm requests extract nothing" cold warm;
+  (* Per configuration and round: the delay request's ladder probes
+     SGDP and borrows the case's one fit; the gamma request probes and
+     fits. Four reads of rho, all reuses. *)
+  Alcotest.(check int) "every warm read reuses"
+    (rounds * List.length configs * 4)
+    (warm_reuses - cold_reuses);
+  check_true "exposed on /metrics"
+    (List.mem
+       (Printf.sprintf "sta_eqwave_rho_extractions %d" warm)
+       (String.split_on_char '\n' (Runtime.Metrics.to_prometheus m)))
+
 (* ------------------------------------------------------------------ *)
 (* Prometheus exposition                                               *)
 
@@ -933,6 +1018,7 @@ let suite =
       case "protocol: batching class" test_protocol_klass;
       case "protocol: framing" test_protocol_framing;
       case "protocol: frame size limit" test_protocol_frame_limit;
+      slow_case "protocol: one rho per served arc" test_protocol_rho_once_per_arc;
       case "metrics: prometheus stable names" test_prometheus_stable_names;
       case "batcher: queue timeout shed" test_batcher_queue_timeout;
       case "batcher: first fill wins" test_batcher_fill_once;
