@@ -806,9 +806,10 @@ let sweep_stage () =
       | _ -> ())
     pr.Noise.Alignment.delays;
   let guard_drift_ps = !guard_drift *. 1e12 in
-  (* The worst case itself is only promised to within the coverage
-     slack: the search may settle on a different grid point whose
-     delay trails the true maximum by at most tol. *)
+  (* The worst case itself is not promised exactly: the search may
+     settle on a different grid point. On this Config II landscape
+     the gate below holds it within tol; on Config I it is not (see
+     Noise.Alignment). *)
   let drift_ps =
     abs_float (pr.Noise.Alignment.best_delay -. ex.Noise.Alignment.best_delay)
     *. 1e12

@@ -347,21 +347,13 @@ let montecarlo_cmd =
   in
   let run samples seed scen rt =
     with_rt rt (fun () ->
-        let draws, summaries =
+        let _, summaries =
           Noise.Montecarlo.run ~seed ~samples ~engine:rt.engine
-            ?ladder:rt.ladder ?checkpoint_dir:rt.checkpoint_dir
-            ~prune_tol_ps:rt.prune_tol_ps scen
+            ?ladder:rt.ladder ?checkpoint_dir:rt.checkpoint_dir scen
         in
         Printf.printf "%s, %d random alignment/polarity samples (seed %d):\n"
           scen.Noise.Scenario.name samples seed;
-        Format.printf "%a@." Noise.Montecarlo.pp_summary summaries;
-        let pruned =
-          List.length
-            (List.filter (fun s -> s.Noise.Montecarlo.pruned) draws)
-        in
-        if pruned > 0 then
-          Printf.printf "%d/%d draws pruned (no critical-window overlap)\n"
-            pruned samples)
+        Format.printf "%a@." Noise.Montecarlo.pp_summary summaries)
   in
   Cmd.v
     (Cmd.info "montecarlo"

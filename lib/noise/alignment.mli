@@ -1,42 +1,31 @@
 (** Branch-and-bound search over the aggressor alignment window.
 
     The exhaustive alignment sweep solves one transient per grid
-    point. Most alignments are not worth solving: [search] solves a
-    coarse sub-grid (fanned out with {!Runtime.Engine.submit_batch}),
-    upper-bounds every unexplored bracket — from a superposition
-    estimate on the linear coupled interconnect
-    ({!Interconnect.Noise_bound}) capping the total delay push-out,
-    and from a Piyavskii-style Lipschitz rate estimated out of the
-    secant slopes between solved neighbors — and bisects only
-    brackets whose bound still exceeds the incumbent by more than the
-    coverage slack [prune_tol_ps]. The returned worst case is within
-    [prune_tol_ps] of the exhaustive sweep's whenever the rate
-    estimate holds (enforced empirically by the bench gate and the
-    property tests), and every alignment actually solved is
-    byte-identical to the exhaustive solve there. With
-    [prune_tol_ps = 0] the search degenerates to the exhaustive
-    sweep, byte-for-byte. *)
+    point. [search] instead solves a coarse sub-grid (fanned out with
+    {!Runtime.Engine.submit_batch}), bounds every unexplored bracket
+    with a Piyavskii-style rate estimated from the secant slopes
+    between solved neighbors, and bisects only brackets whose bound
+    still exceeds the incumbent by more than [prune_tol_ps]. Every
+    alignment actually solved is byte-identical to the exhaustive
+    solve there, and with [prune_tol_ps = 0] the search degenerates
+    to the exhaustive sweep, byte-for-byte.
 
-(** Global lifetime counters, mirroring {!Spice.Transient.Stats}. *)
-module Stats : sig
-  type snapshot = { solved : int; pruned : int; searches : int }
-
-  val snapshot : unit -> snapshot
-  val since : snapshot -> snapshot
-  val record : solved:int -> pruned:int -> unit
-  val reset : unit -> unit
-end
+    The secant rate is a heuristic, not a bound: a delay peak narrower
+    than one coarse bracket can hide between flat endpoints, and the
+    returned worst case can then trail the exhaustive one by more
+    than [prune_tol_ps]. On the 200-point grid at [prune_tol_ps = 5]
+    the search returns 43.68 ps against 62.09 ps on Config I, and
+    69.44 ps against 102.48 ps on {!Scenario.config_i_buffer}. *)
 
 type config = {
   prune_tol_ps : float;
-      (** coverage slack in ps: a bracket is pruned once its upper
-          bound exceeds the incumbent by no more than this, so the
-          found worst case trails the true one by at most this much.
+      (** pruning tolerance in ps: a bracket is pruned once its
+          estimated bound exceeds the incumbent by no more than this.
+          A heuristic knob, not a guaranteed shortfall (see above).
           0 disables pruning entirely (exhaustive sweep). *)
   coarse : int;  (** coarse-phase sub-grid size (endpoints included) *)
   safety : float;
-      (** multiplier on every estimated rate (aggressor slew rate,
-          push cap, observed secant slopes, activity window) *)
+      (** multiplier on the observed secant-slope rate *)
 }
 
 val default : config
@@ -65,47 +54,13 @@ val delay_at :
 (** Solve (or replay from cache) the noisy case at [tau] and measure
     {!mid_delay}. *)
 
-(** The bound model, derived once from the noiseless run. Exposed for
-    tests and for Monte-Carlo's overlap classification. *)
-type model = {
-  nominal : float;
-  n_peak : float;
-  s_min : float;
-  push_cap : float;
-  lambda : float;
-  ov_lo : float;
-  ov_hi : float;
-}
-
-val model : ?config:config -> Scenario.t -> noiseless:Injection.run -> model
-(** Estimate the bound model. Degenerate noiseless runs (missing
-    crossings, flat threshold band) yield a disabled model whose
-    bounds are infinite — the search then prunes nothing. *)
-
-val overlap_interval :
-  ?config:config -> Scenario.t -> noiseless:Injection.run -> float * float
-(** [(lo, hi)]: aggressor alignments outside this interval cannot
-    inject noise during the victim's critical window, so their delay
-    is the nominal one. *)
-
-val bracket_bound :
-  model ->
-  lambda_obs:float ->
-  d_lo:float -> d_hi:float -> tau_lo:float -> tau_hi:float -> float
-(** Upper bound on the delay attainable strictly inside the bracket
-    ([tau_lo], [tau_hi]) whose endpoints measured [d_lo] and [d_hi].
-    [lambda_obs] is the caller's local Lipschitz-rate estimate
-    (dimensionless, safety factor already applied); the tighter of it
-    and the model's own rate is used. *)
-
 val search :
   ?config:config -> ?engine:Runtime.Engine.t -> Scenario.t ->
   noiseless:Injection.run -> result
 (** Run the search over [Scenario.taus scenario]. Solved rounds are
     fanned out with {!Runtime.Engine.submit_batch}; ties break toward
     the lowest grid index (first maximum wins), matching the
-    exhaustive sweep. Updates {!Stats} and, when the engine carries a
-    metrics registry, the [noise.alignments_solved] /
-    [noise.alignments_pruned] counters. *)
+    exhaustive sweep. When the engine carries a metrics registry,
+    counts [noise.alignments_solved] / [noise.alignments_pruned]. *)
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -112,20 +112,13 @@ let run_ladder ?metrics ?fits ladder ctx =
            { tried = List.length skips; last })
 
 let evaluate_case ?(reference = Replay) ?techniques ?samples
-    ?(ladder = Eqwave.Ladder.default) ?engine ?noisy scenario ~noiseless ~tau =
+    ?(ladder = Eqwave.Ladder.default) ?engine scenario ~noiseless ~tau =
   let engine = Runtime.Engine.resolve engine in
   let techniques =
     match techniques with Some ts -> ts | None -> Eqwave.Registry.all
   in
   let th = Device.Process.thresholds scenario.Scenario.proc in
-  (* [?noisy] lets a caller that already knows the case's waveforms —
-     Monte-Carlo substituting the noiseless run for a provably
-     non-overlapping draw — skip the simulation. *)
-  let noisy =
-    match noisy with
-    | Some r -> r
-    | None -> Injection.noisy ~engine scenario ~tau
-  in
+  let noisy = Injection.noisy ~engine scenario ~tau in
   let ctx = Injection.ctx_of_runs ~engine ?samples scenario ~noiseless ~noisy in
   let tstop = scenario.Scenario.tstop in
   let t_in = mid_crossing th noisy.Injection.far "noisy input" in

@@ -87,13 +87,9 @@ val evaluate_case :
   ?samples:int ->
   ?ladder:Eqwave.Ladder.t ->
   ?engine:Runtime.Engine.t ->
-  ?noisy:Injection.run ->
   Scenario.t -> noiseless:Injection.run -> tau:float -> case_eval
 (** Runs one noisy full-chain simulation plus one receiver simulation
-    per technique. [noisy] overrides the case's noisy run when the
-    caller already holds it — Monte-Carlo substitutes the noiseless
-    run for draws whose alignment provably cannot overlap the victim's
-    critical window. [techniques] defaults to [Eqwave.Registry.all];
+    per technique. [techniques] defaults to [Eqwave.Registry.all];
     [samples] is the paper's P (default 35). [engine] selects solver
     config and cache (see {!Runtime.Engine}). With a cache, every underlying transient
     simulation is memoized by content (scenario, case, and full solver

@@ -1,7 +1,6 @@
 type sample = {
   tau : float;
   aggressor_rising : bool;
-  pruned : bool;
   case : Eval.case_eval;
 }
 
@@ -15,7 +14,7 @@ type summary = {
 }
 
 let run ?(seed = 42) ?(samples = 50) ?techniques ?ladder ?checkpoint_dir
-    ?engine ?(prune_tol_ps = 0.0) scenario =
+    ?engine scenario =
   if samples < 1 then invalid_arg "Montecarlo.run: samples < 1";
   let engine = Runtime.Engine.resolve engine in
   let techs =
@@ -35,9 +34,6 @@ let run ?(seed = 42) ?(samples = 50) ?techniques ?ladder ?checkpoint_dir
         let rising = Random.State.bool rng in
         (tau, rising))
   in
-  let pruning =
-    prune_tol_ps > 0.0 && not (Spice.Transient.Fault.is_armed ())
-  in
   let checkpoint =
     match checkpoint_dir with
     | None -> None
@@ -47,12 +43,8 @@ let run ?(seed = 42) ?(samples = 50) ?techniques ?ladder ?checkpoint_dir
              ~name:("montecarlo-" ^ scenario.Scenario.name)
              ~fingerprint:
                (Eval.sweep_fingerprint ~tag:"montecarlo.run"
-                  ~schema:"sample/3" ?ladder ~techs ~engine scenario
-                  ([ string_of_int seed; string_of_int samples ]
-                  @
-                  if pruning then
-                    [ Printf.sprintf "prune:%h" prune_tol_ps ]
-                  else [])))
+                  ~schema:"sample/4" ?ladder ~techs ~engine scenario
+                  [ string_of_int seed; string_of_int samples ]))
   in
   (* The noiseless (victim-only) run depends on the aggressors' quiet
      rail, which depends on their polarity: precompute each polarity
@@ -73,40 +65,15 @@ let run ?(seed = 42) ?(samples = 50) ?techniques ?ladder ?checkpoint_dir
           | exception Spice.Transient.No_convergence at ->
               Error (Runtime.Failure.Non_convergence { at })))
     draws;
-  (* Per-polarity overlap interval: a draw whose alignment provably
-     cannot inject noise during the victim's critical window gets the
-     noiseless run substituted for its noisy one — the receiver replay
-     of that wave is shared across all such draws (content-cached), so
-     the transient solve is skipped entirely. *)
-  let overlap = Hashtbl.create 2 in
-  if pruning then
-    Hashtbl.iter
-      (fun rising nl ->
-        match nl with
-        | Error _ -> ()
-        | Ok nl ->
-            let scen = { scenario with Scenario.aggressor_rising = rising } in
-            Hashtbl.add overlap rising
-              (Alignment.overlap_interval
-                 ~config:
-                   { Alignment.default with Alignment.prune_tol_ps }
-                 scen ~noiseless:nl))
-      noiseless;
   let eval_draw (tau, rising) =
     let scen = { scenario with Scenario.aggressor_rising = rising } in
-    let pruned =
-      match Hashtbl.find_opt overlap rising with
-      | Some (lo, hi) -> tau < lo || tau > hi
-      | None -> false
-    in
     let case =
       match Hashtbl.find noiseless rising with
       | Error f -> Eval.failed_case techs ~tau f
       | Ok nl -> (
           match
-            Eval.evaluate_case ~techniques:techs ?ladder ~engine
-              ?noisy:(if pruned then Some nl else None)
-              scen ~noiseless:nl ~tau
+            Eval.evaluate_case ~techniques:techs ?ladder ~engine scen
+              ~noiseless:nl ~tau
           with
           | c -> c
           | exception e -> (
@@ -114,7 +81,7 @@ let run ?(seed = 42) ?(samples = 50) ?techniques ?ladder ?checkpoint_dir
               | Some f -> Eval.failed_case techs ~tau f
               | None -> raise e))
     in
-    { tau; aggressor_rising = rising; pruned; case }
+    { tau; aggressor_rising = rising; case }
   in
   let eval i =
     match checkpoint with
@@ -130,12 +97,6 @@ let run ?(seed = 42) ?(samples = 50) ?techniques ?ladder ?checkpoint_dir
   let cases =
     Array.to_list (Runtime.Engine.submit_batch engine samples eval)
   in
-  (match Runtime.Engine.metrics engine with
-  | Some m when pruning ->
-      let np = List.length (List.filter (fun s -> s.pruned) cases) in
-      Runtime.Metrics.incr ~n:(samples - np) m "noise.alignments_solved";
-      Runtime.Metrics.incr ~n:np m "noise.alignments_pruned"
-  | _ -> ());
   let summaries =
     List.map
       (fun (tech : Eqwave.Technique.t) ->

@@ -9,10 +9,6 @@
 type sample = {
   tau : float;
   aggressor_rising : bool;
-  pruned : bool;
-      (** the draw's alignment provably could not overlap the victim's
-          critical window, so the noiseless run stood in for the noisy
-          simulation (only under a positive [prune_tol_ps]) *)
   case : Eval.case_eval;
 }
 
@@ -32,15 +28,10 @@ val run :
   ?ladder:Eqwave.Ladder.t ->
   ?checkpoint_dir:string ->
   ?engine:Runtime.Engine.t ->
-  ?prune_tol_ps:float ->
   Scenario.t -> sample list * summary list
 (** [run scenario] draws [samples] (default 50) cases with uniformly
     random alignment over the scenario window and random aggressor
-    polarity. [seed] defaults to 42. With [prune_tol_ps] positive,
-    draws outside {!Alignment.overlap_interval} skip their transient
-    solve — the noiseless run stands in, marked [pruned] — while the
-    rest are unaffected; 0 (the default) disables the classification.
-    Ignored under an armed fault plan. All draws happen before any
+    polarity. [seed] defaults to 42. All draws happen before any
     evaluation, so the result is deterministic for a given seed even
     when the cases are swept on the engine's pool
     ({!Runtime.Engine.submit_batch}); the engine's cache

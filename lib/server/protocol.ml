@@ -1,4 +1,4 @@
-let version = "1.2.0"
+let version = "1.3.0"
 
 (* Compatibility is decided on the major component alone: a client may
    be older or newer within a major series (fields it doesn't know are
@@ -26,12 +26,7 @@ type query =
       samples : int option;
       prune_tol_ps : float;
     }
-  | Montecarlo of {
-      config : string;
-      samples : int;
-      seed : int;
-      prune_tol_ps : float;
-    }
+  | Montecarlo of { config : string; samples : int; seed : int }
 
 type request = { id : int; query : query; deadline_ms : float option }
 
@@ -152,8 +147,7 @@ let parse_query op v =
       let* () = check_config config in
       let* samples = int_field ~lo:1 ~hi:max_samples "samples" v in
       let* seed = int_field ~default:42 ~lo:0 ~hi:max_int "seed" v in
-      let* prune_tol_ps = prune_field v in
-      Ok (Montecarlo { config; samples; seed; prune_tol_ps })
+      Ok (Montecarlo { config; samples; seed })
   | other -> Error (Printf.sprintf "unknown op %S" other)
 
 let parse_request text =
@@ -241,17 +235,13 @@ let request_to_json { id; query; deadline_ms } =
         if prune_tol_ps > 0.0 then
           [ ("prune_tol_ps", Json.Num prune_tol_ps) ]
         else []
-    | Montecarlo { config; samples; seed; prune_tol_ps } ->
+    | Montecarlo { config; samples; seed } ->
         [
           ("op", Json.Str "montecarlo");
           ("config", Json.Str config);
           ("samples", Json.Num (float_of_int samples));
           ("seed", Json.Num (float_of_int seed));
         ]
-        @
-        if prune_tol_ps > 0.0 then
-          [ ("prune_tol_ps", Json.Num prune_tol_ps) ]
-        else []
   in
   let tail =
     match deadline_ms with
@@ -422,14 +412,13 @@ let table1_body scen ~cases (table : Noise.Eval.table) =
     | Some s -> [ ("prune", prune_json s) ]
     | None -> [])
 
-let montecarlo_body scen ~samples ~seed ~pruned
+let montecarlo_body scen ~samples ~seed
     (summaries : Noise.Montecarlo.summary list) =
   Json.Obj
     [
       ("scenario", Json.Str scen.Noise.Scenario.name);
       ("samples", num (float_of_int samples));
       ("seed", num (float_of_int seed));
-      ("pruned", num (float_of_int pruned));
       ( "summaries",
         Json.Arr
           (List.map
@@ -534,17 +523,11 @@ let execute ~engine ?metrics query =
               scen
           in
           Ok (table1_body scen ~cases table))
-  | Montecarlo { config; samples; seed; prune_tol_ps } ->
+  | Montecarlo { config; samples; seed } ->
       let* scen = find_scenario config in
       guarded (fun () ->
-          let draws, summaries =
-            Noise.Montecarlo.run ~seed ~samples ~engine ~prune_tol_ps scen
-          in
-          let pruned =
-            List.length
-              (List.filter (fun s -> s.Noise.Montecarlo.pruned) draws)
-          in
-          Ok (montecarlo_body scen ~samples ~seed ~pruned summaries))
+          let _, summaries = Noise.Montecarlo.run ~seed ~samples ~engine scen in
+          Ok (montecarlo_body scen ~samples ~seed summaries))
 
 let response ~id result =
   let envelope body =

@@ -19,15 +19,20 @@
       deviation score.
     - [table1] — a full Table-1 sweep ([config], [cases], optional
       [techniques], [samples], optional [prune_tol_ps]).
-    - [montecarlo] — a Monte-Carlo shard ([config], [samples], [seed],
-      optional [prune_tol_ps]).
+    - [montecarlo] — a Monte-Carlo shard ([config], [samples], [seed]).
 
-    A positive [prune_tol_ps] (added in 1.2) turns on the
-    branch-and-bound alignment pruning: the [table1] response then
-    carries a ["prune"] object ([total]/[solved]/[pruned]/[rounds])
-    and the [montecarlo] response counts [pruned] draws. Absent or 0
+    A positive [table1] [prune_tol_ps] (added in 1.2) turns on the
+    branch-and-bound alignment pruning: the response then carries a
+    ["prune"] object ([total]/[solved]/[pruned]/[rounds]). Absent or 0
     keeps the exhaustive sweep, so 1.1 clients see unchanged
     responses.
+
+    1.3 drops [montecarlo]'s [prune_tol_ps] and its response's
+    [pruned] count: Monte-Carlo draws all land inside the alignment
+    window, so none was ever pruned. Within a major version unknown
+    fields are ignored, so a 1.2 client that still sends
+    [prune_tol_ps] gets the same body as one that does not, minus the
+    always-zero [pruned].
 
     {!execute} is the single evaluation path: the daemon's batcher runs
     it on queued requests, and the bench runs it directly to assert
@@ -46,12 +51,7 @@ type query =
       prune_tol_ps : float;
           (** 0 = exhaustive sweep (the pre-1.2 behavior) *)
     }
-  | Montecarlo of {
-      config : string;
-      samples : int;
-      seed : int;
-      prune_tol_ps : float;
-    }
+  | Montecarlo of { config : string; samples : int; seed : int }
 
 type request = { id : int; query : query; deadline_ms : float option }
 

@@ -534,8 +534,7 @@ let test_watchdog_trips_when_wedged () =
                 Server.Protocol.id = 1;
                 query =
                   Server.Protocol.Montecarlo
-                    { config = "i"; samples = 400; seed = 7;
-                      prune_tol_ps = 0.0 };
+                    { config = "i"; samples = 400; seed = 7 };
                 deadline_ms = None;
               }
             in

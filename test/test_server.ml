@@ -176,7 +176,7 @@ let test_protocol_request_roundtrip () =
       { Server.Protocol.id = 5;
         query =
           Server.Protocol.Montecarlo
-            { config = "ii"; samples = 16; seed = 9; prune_tol_ps = 2.0 };
+            { config = "ii"; samples = 16; seed = 9 };
         deadline_ms = None };
     ]
   in
@@ -309,6 +309,29 @@ let test_protocol_frame_limit () =
    the same engine extract nothing more. The counts are read back
    through the [stats] op and the /metrics exposition, from the
    engine's own registry. *)
+let test_protocol_montecarlo_ignores_prune_tol () =
+  (* A 1.2 client may still send montecarlo's dropped [prune_tol_ps]:
+     same major, so the field is ignored and the body is unchanged. *)
+  let old_style =
+    parse_req
+      {|{"id":5,"op":"montecarlo","config":"i","samples":2,"seed":9,"version":"1.2.0","prune_tol_ps":2}|}
+  and plain =
+    parse_req {|{"id":5,"op":"montecarlo","config":"i","samples":2,"seed":9}|}
+  in
+  check_true "same query" (old_style = plain);
+  let engine =
+    Runtime.Engine.with_cache Runtime.Engine.fast (Runtime.Cache.create ())
+  in
+  let body r =
+    match Server.Protocol.execute ~engine r.Server.Protocol.query with
+    | Ok b -> b
+    | Error f -> Alcotest.failf "request failed: %s" (Runtime.Failure.to_string f)
+  in
+  let b_old = body old_style and b_plain = body plain in
+  Alcotest.(check string) "same body" (Server.Json.to_string b_plain)
+    (Server.Json.to_string b_old);
+  check_true "no pruned count" (Server.Json.member "pruned" b_old = None)
+
 let test_protocol_rho_once_per_arc () =
   let m = Runtime.Metrics.create () in
   let engine =
@@ -1018,6 +1041,8 @@ let suite =
       case "protocol: batching class" test_protocol_klass;
       case "protocol: framing" test_protocol_framing;
       case "protocol: frame size limit" test_protocol_frame_limit;
+      slow_case "protocol: montecarlo ignores a 1.2 prune_tol_ps"
+        test_protocol_montecarlo_ignores_prune_tol;
       slow_case "protocol: one rho per served arc" test_protocol_rho_once_per_arc;
       case "metrics: prometheus stable names" test_prometheus_stable_names;
       case "batcher: queue timeout shed" test_batcher_queue_timeout;
