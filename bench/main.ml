@@ -97,6 +97,13 @@ let engine =
     (Runtime.Engine.with_metrics (Runtime.Cli.engine_of_spec (cli_spec ()))
        metrics)
 
+(* Engines a section builds for itself still take the run's
+   [--inject-faults] plan, so one solve index spans the whole run. *)
+let with_run_faults e =
+  match Runtime.Engine.faults (Lazy.force engine) with
+  | Some f -> Runtime.Engine.with_faults e f
+  | None -> e
+
 let pool = lazy (Runtime.Engine.pool (Lazy.force engine))
 let cache = lazy (Runtime.Engine.cache (Lazy.force engine))
 
@@ -393,7 +400,7 @@ let runtime () =
     let d = Spice.Transient.Stats.(diff (snapshot ()) before) in
     (List.map (fun c -> c.Noise.Eval.delay_ref) table.Noise.Eval.cases, d, elapsed)
   in
-  let fixed_engine = Runtime.Engine.reference in
+  let fixed_engine = with_run_faults Runtime.Engine.reference in
   (* Compare against the CLI engine when it is adaptive, else the stock
      adaptive defaults on the reference config. *)
   let adaptive_solver =
@@ -402,7 +409,8 @@ let runtime () =
     else Spice.Transient.(with_adaptive default_config)
   in
   let adaptive_engine =
-    Runtime.Engine.make ~name:"adaptive" ~solver:adaptive_solver ()
+    with_run_faults
+      (Runtime.Engine.make ~name:"adaptive" ~solver:adaptive_solver ())
   in
   let d_fixed, s_fixed, t_fixed = sweep fixed_engine in
   let d_adapt, s_adapt, t_adapt = sweep adaptive_engine in
@@ -565,7 +573,7 @@ let kernel_compare ~opt_per_solve_ms ~delays_ps path =
    other's cached waveforms. *)
 let section_engine ?(pooled = false) () =
   let s = cli_spec () in
-  let e = Runtime.Engine.of_name s.Runtime.Cli.engine_name in
+  let e = with_run_faults (Runtime.Engine.of_name s.Runtime.Cli.engine_name) in
   let e =
     match s.Runtime.Cli.ltetol with
     | Some tol ->
@@ -1333,9 +1341,9 @@ let serve_stage () =
    tight connection budget and read deadline, driven by a client herd
    of which a --misbehave fraction stalls mid-frame, disconnects
    mid-frame, or speaks garbage — under seeded network faults
-   (--inject-net-faults) and disk-cache faults
-   (--inject-cache-faults, armed for the whole run by the shared CLI
-   spec; the stage arms a default plan when neither is given).
+   (--inject-net-faults) and disk-cache faults (--inject-cache-faults,
+   armed on the stage's own disk cache; a default plan when the flag
+   is not given).
 
    Published invariants, each wired to the exit code:
    - every well-behaved request is eventually answered byte-identically
@@ -1374,16 +1382,26 @@ let chaos_stage () =
     Runtime.Cache.create ~disk_dir:cache_dir ~breaker_threshold:4
       ~breaker_cooldown_s:cooldown_s ()
   in
-  (* Arm the chaos. Cache faults may already be armed by
-     --inject-cache-faults; otherwise use a deterministic default so a
-     bare `bench chaos` still exercises the breaker. *)
-  if not (Runtime.Cache.Disk_fault.is_armed ()) then
-    (match Runtime.Cache.Disk_fault.of_string "0.8@11" with
-    | Ok plan -> Runtime.Cache.Disk_fault.arm plan
-    | Error _ -> ());
+  (* Arm the chaos. The chaos cache takes the --inject-cache-faults
+     plan, or a deterministic default so a bare `bench chaos` still
+     exercises the breaker. The drills below swap plans; [arm_disk]
+     keeps the running injected count across the swaps. *)
+  let cache_injected = ref 0 in
+  let arm_disk spec =
+    Option.iter
+      (fun p -> cache_injected := !cache_injected + Runtime.Fault.injected p)
+      (Runtime.Cache.faults chaos_cache);
+    Runtime.Cache.set_faults chaos_cache
+      (Option.map (Runtime.Fault.arm Runtime.Cache.fault_kinds) spec)
+  in
+  let disk_plan s =
+    Some (Result.get_ok (Runtime.Fault.parse Runtime.Cache.fault_kinds s))
+  in
+  arm_disk
+    (match (cli_spec ()).Runtime.Cli.cache_fault with
+    | Some _ as spec -> spec
+    | None -> disk_plan "0.8@11");
   Option.iter (Server.Netfault.arm ~stall_s:0.02) !chaos_net;
-  let net_injected_before = Server.Netfault.injected () in
-  let cache_injected_before = Runtime.Cache.Disk_fault.injected () in
   let sock = Printf.sprintf "/tmp/sta_chaos_%d.sock" (Unix.getpid ()) in
   let max_conns = Int.max 8 (n_total / 4) in
   let config =
@@ -1424,7 +1442,8 @@ let chaos_stage () =
      max_conns %d, read deadline 0.25 s, net faults %s, cache faults %s\n%!"
     n_total n_bad n_reqs sock max_conns
     (if Server.Netfault.is_armed () then "armed" else "off")
-    (if Runtime.Cache.Disk_fault.is_armed () then "armed" else "off");
+    (if Option.is_some (Runtime.Cache.faults chaos_cache) then "armed"
+     else "off");
   (* Per-thread slots: no shared mutable state during the run. *)
   let served = Array.make (Int.max 1 n_wb) 0 in
   let retried_typed = Array.make (Int.max 1 n_wb) 0 in
@@ -1532,10 +1551,7 @@ let chaos_stage () =
      opens it deterministically. *)
   let wave = Waveform.Wave.create [| 0.0; 1e-12 |] [| 0.0; 1.0 |] in
   if Runtime.Cache.breaker_opens chaos_cache = 0 then begin
-    Runtime.Cache.Disk_fault.disarm ();
-    (match Runtime.Cache.Disk_fault.of_string "1.0@1" with
-    | Ok plan -> Runtime.Cache.Disk_fault.arm plan
-    | Error _ -> ());
+    arm_disk (disk_plan "1.0@1");
     for i = 0 to 15 do
       Runtime.Cache.store chaos_cache
         (Printf.sprintf "chaos:drill:%d" i)
@@ -1556,10 +1572,7 @@ let chaos_stage () =
      Runtime.Cache.breaker_state chaos_cache
      <> Some Runtime.Cache.Breaker.Open
    then begin
-     Runtime.Cache.Disk_fault.disarm ();
-     (match Runtime.Cache.Disk_fault.of_string "1.0@3" with
-     | Ok plan -> Runtime.Cache.Disk_fault.arm plan
-     | Error _ -> ());
+     arm_disk (disk_plan "1.0@3");
      let i = ref 0 in
      while
        Runtime.Cache.breaker_state chaos_cache
@@ -1577,7 +1590,7 @@ let chaos_stage () =
   in
   (* Recovery: faults off, past the cooldown, the half-open probe must
      re-close the breaker and disk writes must resume. *)
-  Runtime.Cache.Disk_fault.disarm ();
+  arm_disk None;
   Server.Netfault.disarm ();
   Thread.delay (cooldown_s +. 0.15);
   Runtime.Cache.store chaos_cache "chaos:probe" [ wave ];
@@ -1663,10 +1676,8 @@ let chaos_stage () =
   let p50 = percentile lats 0.50
   and p95 = percentile lats 0.95
   and p99 = percentile lats 0.99 in
-  let net_injected = Server.Netfault.injected () - net_injected_before in
-  let cache_injected =
-    Runtime.Cache.Disk_fault.injected () - cache_injected_before
-  in
+  let net_injected = Server.Netfault.injected () in
+  let cache_injected = !cache_injected in
   let passed =
     unserved_n = 0 && conn_shed >= 1 && breaker_opens >= 1
     && breaker_reclosed && memory_serves && disk_resumed && drained
@@ -2259,7 +2270,8 @@ let resilience_json () =
       ("recoveries", string_of_int d.recoveries);
       ("failures", string_of_int d.failures);
       ("rejected_waveforms", string_of_int d.rejected_waveforms);
-      ("injected_faults", string_of_int (Spice.Transient.Fault.injected ()));
+      ( "injected_faults",
+        string_of_int (Spice.Transient.Stats.snapshot ()).injected_faults );
       ("recovery_rate", Printf.sprintf "%.4f" rate);
     ]
 
@@ -2407,16 +2419,8 @@ let () =
              (stall mid-frame, disconnect mid-frame, or send garbage).")
   in
   let net_fault_arg =
-    let c =
-      Arg.conv
-        ( (fun s ->
-            match Server.Netfault.of_string s with
-            | Ok plan -> Ok plan
-            | Error msg -> Error (`Msg msg)),
-          fun ppf _ -> Format.pp_print_string ppf "<net-fault-plan>" )
-    in
     Arg.(
-      value & opt (some c) None
+      value & opt (some (Runtime.Cli.fault_conv Server.Netfault.kinds)) None
       & info [ "inject-net-faults" ] ~docv:"SPEC"
           ~doc:
             "Seeded network fault injection for the chaos section: \
@@ -2501,7 +2505,6 @@ let () =
     crash_kills := Int.max 0 kill_count_v;
     crash_seed := kill_seed_v;
     crash_recovery_budget := recovery_budget_v;
-    Runtime.Cli.arm_faults spec;
     resil_before := Runtime.Resilience.Stats.snapshot ();
     spice_before := Spice.Transient.Stats.snapshot ();
     guard_before := Runtime.Guard.Stats.snapshot ();
@@ -2544,10 +2547,10 @@ let () =
        | None -> ());
     (let d = Runtime.Resilience.Stats.(diff (snapshot ()) !resil_before) in
      let open Runtime.Resilience.Stats in
-     if Spice.Transient.Fault.is_armed () || d.retries > 0 || d.failures > 0
+     if Option.is_some spec.Runtime.Cli.fault || d.retries > 0 || d.failures > 0
      then
        Printf.printf "\nresilience: %d injected faults; %s\n"
-         (Spice.Transient.Fault.injected ())
+         (Spice.Transient.Stats.snapshot ()).injected_faults
          (Format.asprintf "%a" pp d));
     Printf.printf "\nDone.\n";
     if !exit_code <> 0 then exit !exit_code

@@ -63,7 +63,6 @@ let rt_term =
     with
     | exception Invalid_argument msg -> `Error (false, msg)
     | ladder ->
-        Runtime.Cli.arm_faults spec;
         `Ok
           {
             engine = Runtime.Cli.engine_of_spec ~sparse_levels spec;

@@ -120,15 +120,7 @@ let serve_opts_term =
                    daemon exits 70 so a supervisor can respawn it.")
   in
   let inject_net =
-    let c =
-      Arg.conv
-        ( (fun s ->
-            match Server.Netfault.of_string s with
-            | Ok plan -> Ok plan
-            | Error msg -> Error (`Msg msg)),
-          fun ppf _ -> Format.pp_print_string ppf "<net-fault-plan>" )
-    in
-    Arg.(value & opt (some c) None
+    Arg.(value & opt (some (Runtime.Cli.fault_conv Server.Netfault.kinds)) None
          & info [ "inject-net-faults" ] ~docv:"SPEC"
              ~doc:"Deterministic network fault injection for chaos \
                    testing: $(b,[KIND:])($(b,nth:N) | \
@@ -168,7 +160,6 @@ let serve_opts_term =
    rebuilds from scratch and the crash-recovery path is the cold-start
    path. *)
 let run_serve ~restarts (o : serve_opts) =
-  Runtime.Cli.arm_faults o.spec;
   Option.iter Server.Netfault.arm o.inject_net;
   (* Threshold levels the sparse disk codec must preserve exactly —
      the same levels every timing measurement reads. *)

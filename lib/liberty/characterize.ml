@@ -34,7 +34,8 @@ let measure_gate ?(dt = 0.5e-12) ?(extra_load = 0.0) ?engine proc cell
     if extra_load > 0.0 then
       Circuit.capacitor ckt y (Circuit.gnd ckt) extra_load;
     Circuit.vsource ckt a input;
-    let res = Transient.run ~config ckt in
+    let fault = Runtime.Engine.roll_fault engine in
+    let res = Transient.run ~config ?fault ckt in
     [ Transient.probe res "a"; Transient.probe res "y" ]
   in
   (* Opaque function stimuli cannot be content-addressed. *)

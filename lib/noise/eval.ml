@@ -355,9 +355,10 @@ let run_table ?reference ?techniques ?samples ?ladder ?progress
     match ladder with Some l -> l | None -> Eqwave.Ladder.default
   in
   let guard = Runtime.Engine.guard engine in
-  (* The guard's reference engine shares the cache and supervision of
-     the sweep engine (keys differ by config fingerprint, so fast and
-     reference entries never collide) but must not re-enter the pool —
+  (* The guard's reference engine shares the cache, supervision and
+     fault plan of the sweep engine (keys differ by config fingerprint,
+     so fast and reference entries never collide; its solves take
+     indices from the sweep's plan) but must not re-enter the pool —
      guard checks already run inside pool tasks. *)
   let guard_engine =
     lazy
@@ -365,6 +366,11 @@ let run_table ?reference ?techniques ?samples ?ladder ?progress
        let e =
          match Runtime.Engine.cache engine with
          | Some c -> Runtime.Engine.with_cache e c
+         | None -> e
+       in
+       let e =
+         match Runtime.Engine.faults engine with
+         | Some f -> Runtime.Engine.with_faults e f
          | None -> e
        in
        Runtime.Engine.with_resilience e (Runtime.Engine.resilience engine))
@@ -386,12 +392,12 @@ let run_table ?reference ?techniques ?samples ?ladder ?progress
      search first (it batch-solves exactly the alignments it needs and
      leaves them in the cache), then evaluate only the solved indices.
      Disabled — along with its fingerprint imprint, so existing
-     checkpoints stay valid — at the default zero tolerance, and under
-     an armed fault plan (pruning reorders solve indices, which would
-     shift deterministic fault assignment). *)
+     checkpoints stay valid — at the default zero tolerance, and when
+     the engine carries a fault plan (pruning reorders solve indices,
+     which would shift deterministic fault assignment). *)
   let pruning =
     prune_tol_ps > 0.0
-    && (not (Spice.Transient.Fault.is_armed ()))
+    && Option.is_none (Runtime.Engine.faults engine)
     && Result.is_ok noiseless
   in
   let checkpoint =
@@ -415,7 +421,7 @@ let run_table ?reference ?techniques ?samples ?ladder ?progress
      reads, so the sweep below sees cache hits; cases whose ladder is
      exhausted stay uncached and the per-case call reports them.
      Skipped when there is no cache (nowhere to keep the runs) and
-     when a fault plan is armed — deterministic fault assignment is by
+     when the engine carries a fault plan — fault assignment is by
      solve index, which warm-up would reorder. Checkpoint-replayed
      cases are not warmed: they will not simulate at all. *)
   let () =
@@ -423,7 +429,7 @@ let run_table ?reference ?techniques ?samples ?ladder ?progress
     if
       (not pruning)
       && Option.is_some (Runtime.Engine.cache engine)
-      && (not (Spice.Transient.Fault.is_armed ()))
+      && Option.is_none (Runtime.Engine.faults engine)
       && Result.is_ok noiseless
     then begin
       let wanted =

@@ -155,8 +155,8 @@ val run_table :
     solved alignments are evaluated ([table.prune] reports the
     accounting); the default 0 keeps the exhaustive sweep — and the
     historical checkpoint fingerprint — untouched. Pruning is ignored
-    under an armed fault plan (it would reorder deterministic fault
-    assignment). [progress done_ total] is called after
+    when the engine carries a fault plan (it would reorder
+    deterministic fault assignment). [progress done_ total] is called after
     each case with the number completed so far (from worker domains
     when the engine carries a pool, so it must be quick and
     thread-safe). Cases are distributed over the engine's pool via

@@ -60,7 +60,8 @@ let simulate ?engine scenario ~aggressor_active ~tau =
   let attempt config =
     let compute () =
       let ckt, hints = Scenario.build scenario ~aggressor_active ~tau in
-      let res = Spice.Transient.run ~config ~ic:hints ckt in
+      let fault = Runtime.Engine.roll_fault engine in
+      let res = Spice.Transient.run ~config ~ic:hints ?fault ckt in
       [
         Spice.Transient.probe res (Scenario.victim_far_node scenario);
         Spice.Transient.probe res (Scenario.victim_rcv_node scenario);
@@ -109,7 +110,7 @@ let prewarm_noisy ?engine scenario taus =
   let engine = Runtime.Engine.resolve engine in
   match Runtime.Engine.cache engine with
   | None -> 0
-  | Some _ when Spice.Transient.Fault.is_armed () ->
+  | Some _ when Option.is_some (Runtime.Engine.faults engine) ->
       (* Deterministic fault plans assign faults by solve index; warming
          would reorder the sequence. Let the sweep roll them. *)
       0
@@ -148,7 +149,8 @@ let receiver_response ?dt ?engine scenario ~input ~tstop =
     Device.Cell.instantiate proc load_cell ~ckt ~input:rcv ~output:buf
       ~vdd_node:vdd ~name:"u64";
     Circuit.vsource ckt pin input;
-    let res = Transient.run ~config ckt in
+    let fault = Runtime.Engine.roll_fault engine in
+    let res = Transient.run ~config ?fault ckt in
     [ Transient.probe res "rcv" ]
   in
   (* Opaque function sources cannot be content-addressed; run those

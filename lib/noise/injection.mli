@@ -18,7 +18,10 @@
     probes). A cached waveform that fails validation is purged before
     the ladder retries. An exhausted ladder raises
     [Runtime.Failure.Error] carrying the typed failure — callers in
-    sweep loops catch it into failed rows. *)
+    sweep loops catch it into failed rows. When the engine carries a
+    solver fault plan ({!Runtime.Engine.faults}), every solve attempt
+    that misses the cache rolls it once, right before the transient
+    run. *)
 
 type run = {
   far : Waveform.Wave.t; (** victim far end, the receiver's input pin (in_u) *)
@@ -41,8 +44,8 @@ val prewarm_noisy :
     ladder is exhausted is skipped and left uncached; the sweep's own
     call reports its failure. Returns the number of alignments solved;
     0 without a cache (there is nowhere to keep the results) and 0
-    when a fault plan is armed (warming would reorder solve-index fault
-    assignment). *)
+    when the engine carries a fault plan (warming would reorder
+    solve-index fault assignment). *)
 
 val receiver_response :
   ?dt:float -> ?engine:Runtime.Engine.t ->

@@ -24,9 +24,11 @@ let search ?(coarse = 24) ?(refine = 12) ?(prune_tol_ps = 0.0) ?samples
   in
   (* The coarse scan is the branch-and-bound part: with a zero
      tolerance it is the plain grid sweep (fanned out, first maximum
-     wins); with a positive tolerance provably non-critical brackets
-     are bounded away. The golden-section polish below is inherently
-     sequential and unchanged either way. *)
+     wins); with a positive tolerance, brackets whose secant-rate
+     estimate stays within the tolerance of the incumbent are skipped
+     — a heuristic, so the result can trail the exhaustive scan by
+     more than the tolerance (see [Alignment]). The golden-section
+     polish below is inherently sequential and unchanged either way. *)
   let coarse_grid = Scenario.with_cases scenario coarse in
   let align =
     Alignment.search

@@ -31,8 +31,11 @@ val search :
   Scenario.t -> result
 (** [search scenario] scans [coarse] (default 24) alignments across the
     scenario window through {!Alignment.search} — with [prune_tol_ps]
-    (default 0, exhaustive) positive, provably non-critical brackets
-    of the coarse grid are bounded away unsolved — then runs [refine]
+    (default 0, exhaustive) positive, brackets of the coarse grid whose
+    secant-rate estimate stays within the tolerance of the incumbent
+    are left unsolved; that estimate is a heuristic, so [prune_tol_ps]
+    does not bound how far the result can trail the exhaustive scan
+    (see {!Alignment}) — then runs [refine]
     (default 12) golden-section steps around the best bracket. The
     coarse scan fans out over the engine's pool
     ({!Runtime.Engine.submit_batch}); the refinement is sequential.

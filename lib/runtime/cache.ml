@@ -20,88 +20,6 @@ module Key = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Deterministic disk-layer fault injection. Mirrors
-   [Spice.Transient.Fault]'s [nth:N | RATE[@SEED]] grammar so the CLI
-   vocabulary is the same for solver and cache chaos; every armed roll
-   is indexed by a process-global disk-op counter, so a given
-   (plan, op sequence) always faults the same ops. *)
-
-module Disk_fault = struct
-  type plan = Nth of { n : int } | Fraction of { rate : float; seed : int }
-
-  let armed : plan option Atomic.t = Atomic.make None
-  let op_index = Atomic.make 0
-  let injected_ops = Atomic.make 0
-
-  let arm plan =
-    Atomic.set op_index 0;
-    Atomic.set injected_ops 0;
-    Atomic.set armed (Some plan)
-
-  let disarm () = Atomic.set armed None
-  let is_armed () = Option.is_some (Atomic.get armed)
-  let injected () = Atomic.get injected_ops
-
-  let roll_float seed k =
-    let d = Digest.string (Printf.sprintf "cache.fault:%d:%d" seed k) in
-    let x = ref 0 in
-    for i = 0 to 5 do
-      x := (!x lsl 8) lor Char.code d.[i]
-    done;
-    float_of_int !x /. float_of_int (1 lsl 48)
-
-  let roll () =
-    match Atomic.get armed with
-    | None -> false
-    | Some plan ->
-        let k = Atomic.fetch_and_add op_index 1 in
-        let hit =
-          match plan with
-          | Nth { n } -> k = n
-          | Fraction { rate; seed } -> roll_float seed k < rate
-        in
-        if hit then Atomic.incr injected_ops;
-        hit
-
-  (* Spec grammar: "nth:"N | RATE["@"SEED]. Examples: "nth:3" (the
-     third disk op fails), "0.5" (half the disk ops fail, seed 0),
-     "0.8@13". *)
-  let of_string s =
-    let nth_prefix = "nth:" in
-    let has_nth =
-      String.length s > String.length nth_prefix
-      && String.sub s 0 (String.length nth_prefix) = nth_prefix
-    in
-    if has_nth then
-      let num =
-        String.sub s (String.length nth_prefix)
-          (String.length s - String.length nth_prefix)
-      in
-      match int_of_string_opt num with
-      | Some n when n >= 0 -> Ok (Nth { n })
-      | _ ->
-          Error (Printf.sprintf "bad cache fault spec %S: nth:N needs N >= 0" s)
-    else
-      let rate_s, seed =
-        match String.index_opt s '@' with
-        | Some i ->
-            (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
-        | None -> (s, "0")
-      in
-      match (float_of_string_opt rate_s, int_of_string_opt seed) with
-      | Some rate, Some seed when rate >= 0.0 && rate <= 1.0 ->
-          Ok (Fraction { rate; seed })
-      | _ ->
-          Error
-            (Printf.sprintf
-               "bad cache fault spec %S: want nth:N or RATE[@SEED] with RATE \
-                in [0,1]"
-               s)
-
-  exception Injected
-end
-
-(* ------------------------------------------------------------------ *)
 (* Circuit breaker guarding the disk layer: after [threshold]
    consecutive disk failures the breaker opens and every disk op is
    short-circuited (the memory shards keep serving) until [cooldown_s]
@@ -227,7 +145,20 @@ type t = {
   disk_bytes : int Atomic.t;
   evictions : int Atomic.t;
   evict_m : Mutex.t;
+  faults : unit Fault.t option Atomic.t;
 }
+
+(* The [--inject-cache-faults] vocabulary: no kinds, every fault is a
+   simulated disk I/O error. *)
+let fault_kinds =
+  {
+    Fault.name = "cache fault";
+    salt = "cache.fault";
+    prefixes = [];
+    default = ();
+  }
+
+exception Injected
 
 let file_size path =
   match (Unix.stat path).Unix.st_size with
@@ -279,9 +210,18 @@ let create ?(shards = 16) ?disk_dir ?breaker_threshold ?breaker_cooldown_s
         (match disk_dir with Some d -> scan_disk_bytes d | None -> 0);
     evictions = Atomic.make 0;
     evict_m = Mutex.create ();
+    faults = Atomic.make None;
   }
 
 let disk_dir t = t.disk_dir
+let faults t = Atomic.get t.faults
+let set_faults t plan = Atomic.set t.faults plan
+
+(* Roll the disk plan for one disk op, failing it as an I/O error. *)
+let roll_fault t =
+  match Atomic.get t.faults with
+  | Some plan when Option.is_some (Fault.roll plan) -> raise Injected
+  | _ -> ()
 
 let shard_of t key =
   t.shards.(Hashtbl.hash key mod Array.length t.shards)
@@ -380,12 +320,13 @@ let breaker_admits t =
    an absent file is a plain miss, a corrupt/truncated entry bumps
    [read_errors] and is unlinked so it cannot poison future runs, and
    an I/O error (permissions, transient FS trouble) bumps
-   [read_errors] but leaves the file alone. Armed {!Disk_fault} plans
-   surface here as simulated I/O errors, ahead of any file access. *)
+   [read_errors] but leaves the file alone. Faults from the cache's
+   disk plan surface here as simulated I/O errors, ahead of any file
+   access. *)
 let disk_read t dir key =
   let path = disk_path dir key in
   let parse () =
-    if Disk_fault.roll () then raise Disk_fault.Injected;
+    roll_fault t;
     if not (Sys.file_exists path) then Error `Absent
     else
       let ic = open_in_bin path in
@@ -412,7 +353,7 @@ let disk_read t dir key =
          ignore (Atomic.fetch_and_add t.disk_bytes (-sz))
        with Sys_error _ -> ());
       None
-  | exception (Sys_error _ | Disk_fault.Injected) ->
+  | exception (Sys_error _ | Injected) ->
       Atomic.incr t.read_errors;
       breaker_outcome t false;
       None
@@ -459,7 +400,7 @@ let maybe_evict t dir =
 
 let disk_write t dir key waves =
   match
-    if Disk_fault.roll () then raise Disk_fault.Injected;
+    roll_fault t;
     ensure_dir dir;
     let path = disk_path dir key in
     let tmp =

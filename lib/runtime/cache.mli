@@ -23,29 +23,9 @@
     disk failures the breaker opens and disk ops are short-circuited
     (the memory shards keep serving) until a cooldown elapses, at which
     point a single half-open probe either re-closes the breaker or
-    re-opens it. {!Disk_fault} injects deterministic, seeded disk-op
-    failures for chaos testing, mirroring [Spice.Transient.Fault]'s
-    spec grammar. *)
-
-(** Deterministic disk-layer fault injection. Armed process-globally
-    (the cache's disk ops all roll against one plan), indexed by a
-    global op counter so a given plan faults the same ops every run. *)
-module Disk_fault : sig
-  type plan = Nth of { n : int } | Fraction of { rate : float; seed : int }
-
-  val of_string : string -> (plan, string) result
-  (** Spec grammar: ["nth:"N | RATE["@"SEED]] — e.g. ["nth:3"],
-      ["0.5"], ["0.8@13"]. *)
-
-  val arm : plan -> unit
-  (** Arm [plan] and reset the op/injection counters. *)
-
-  val disarm : unit -> unit
-  val is_armed : unit -> bool
-
-  val injected : unit -> int
-  (** Disk ops failed by injection since the last {!arm}. *)
-end
+    re-opens it. A cache may carry a seeded disk fault plan
+    ({!Fault}, [--inject-cache-faults]) that fails chosen disk ops as
+    I/O errors, for chaos testing the breaker. *)
 
 (** Circuit breaker for the disk layer: [Closed] (normal) opens after
     [threshold] consecutive failures; [Open] short-circuits every op
@@ -110,6 +90,18 @@ val create :
     (oldest mtime first) down to 90% of it. *)
 
 val disk_dir : t -> string option
+
+val fault_kinds : unit Fault.kinds
+(** The disk fault vocabulary: no kind prefixes, salt
+    ["cache.fault"]. *)
+
+val faults : t -> unit Fault.t option
+
+val set_faults : t -> unit Fault.t option -> unit
+(** Replace the disk fault plan (none at creation). Every disk read and write of this
+    cache rolls it once, in op order, before touching the file; a
+    faulted op counts as a read or write error and as a breaker
+    failure. {!scrub} never rolls it. *)
 
 (** Key construction. A key is a digest over a tag plus typed parts;
     floats are rendered in lossless hex notation so equal keys mean

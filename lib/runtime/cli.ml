@@ -22,8 +22,8 @@ type spec = {
   guard_tol_ps : float;
   solver : Spice.Transient.solver_kind option;
   jac_reuse : bool;
-  fault : Spice.Transient.Fault.plan option;
-  cache_fault : Cache.Disk_fault.plan option;
+  fault : Spice.Transient.fault Fault.spec option;
+  cache_fault : unit Fault.spec option;
   prune_tol_ps : float;
   sparse_cache : bool;
   sparse_eps : float option;
@@ -43,6 +43,11 @@ let engine_conv =
         | (_ : Engine.t) -> Ok s
         | exception Invalid_argument msg -> Error (`Msg msg)),
       Format.pp_print_string )
+
+let fault_conv kinds =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun m -> `Msg m) (Fault.parse kinds s)),
+      fun ppf _ -> Format.fprintf ppf "<%s plan>" kinds.Fault.name )
 
 let spec_term ?(default_engine = "reference") ?default_cache_dir () =
   let engine =
@@ -209,15 +214,7 @@ let spec_term ?(default_engine = "reference") ?default_cache_dir () =
                    (disable modified-Newton reuse).")
   in
   let inject =
-    let c =
-      Arg.conv
-        ( (fun s ->
-            match Spice.Transient.Fault.of_string s with
-            | Ok plan -> Ok plan
-            | Error msg -> Error (`Msg msg)),
-          fun ppf _ -> Format.pp_print_string ppf "<fault-plan>" )
-    in
-    Arg.(value & opt (some c) None
+    Arg.(value & opt (some (fault_conv Engine.fault_kinds)) None
          & info [ "inject-faults" ] ~docv:"SPEC"
              ~doc:"Deterministic solver fault injection for resilience \
                    testing: $(b,nth:N) (the Nth solve) or \
@@ -227,15 +224,7 @@ let spec_term ?(default_engine = "reference") ?default_cache_dir () =
                    Examples: 0.1@7, nth:3, nan:0.05, slow:nth:5.")
   in
   let inject_cache =
-    let c =
-      Arg.conv
-        ( (fun s ->
-            match Cache.Disk_fault.of_string s with
-            | Ok plan -> Ok plan
-            | Error msg -> Error (`Msg msg)),
-          fun ppf _ -> Format.pp_print_string ppf "<cache-fault-plan>" )
-    in
-    Arg.(value & opt (some c) None
+    Arg.(value & opt (some (fault_conv Cache.fault_kinds)) None
          & info [ "inject-cache-faults" ] ~docv:"SPEC"
              ~doc:"Deterministic disk-cache fault injection for chaos \
                    testing the circuit breaker: $(b,nth:N) (the Nth \
@@ -402,20 +391,20 @@ let engine_of_spec ?(sparse_levels = []) s =
   let e =
     if s.jobs > 1 then Engine.with_pool e (Pool.create ~jobs:s.jobs ()) else e
   in
-  if s.use_cache then
-    Engine.with_cache e
-      (Cache.create ?disk_dir:s.cache_dir
-         ~sparse_levels:(if s.sparse_cache then sparse_levels else [])
-         ?sparse_eps:s.sparse_eps
-         ?max_disk_bytes:
-           (Option.map (fun mb -> mb * 1024 * 1024) s.cache_max_mb)
-         ())
+  let e =
+    match s.fault with
+    | Some f -> Engine.with_faults e (Fault.arm Engine.fault_kinds f)
+    | None -> e
+  in
+  if s.use_cache then begin
+    let c =
+      Cache.create ?disk_dir:s.cache_dir
+        ~sparse_levels:(if s.sparse_cache then sparse_levels else [])
+        ?sparse_eps:s.sparse_eps
+        ?max_disk_bytes:(Option.map (fun mb -> mb * 1024 * 1024) s.cache_max_mb)
+        ()
+    in
+    Cache.set_faults c (Option.map (Fault.arm Cache.fault_kinds) s.cache_fault);
+    Engine.with_cache e c
+  end
   else e
-
-let arm_faults s =
-  (match s.fault with
-  | Some plan -> Spice.Transient.Fault.arm plan
-  | None -> ());
-  match s.cache_fault with
-  | Some plan -> Cache.Disk_fault.arm plan
-  | None -> ()

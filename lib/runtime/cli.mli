@@ -26,9 +26,9 @@ type spec = {
   guard_tol_ps : float;       (** [--guard-tol-ps] *)
   solver : Spice.Transient.solver_kind option; (** [--solver] *)
   jac_reuse : bool;           (** negated [--no-jac-reuse] *)
-  fault : Spice.Transient.Fault.plan option;   (** [--inject-faults] *)
-  cache_fault : Cache.Disk_fault.plan option;
-      (** [--inject-cache-faults] *)
+  fault : Spice.Transient.fault Fault.spec option;
+      (** [--inject-faults] *)
+  cache_fault : unit Fault.spec option;  (** [--inject-cache-faults] *)
   prune_tol_ps : float;
       (** [--prune-tol-ps], alignment branch-and-bound slack; 0 =
           exhaustive sweep *)
@@ -48,6 +48,9 @@ type sweep = {
 
 val engine_conv : string Cmdliner.Arg.conv
 (** Engine preset name, validated against {!Engine.of_name}. *)
+
+val fault_conv : 'k Fault.kinds -> 'k Fault.spec Cmdliner.Arg.conv
+(** A fault-spec flag in [kinds]' vocabulary ({!Fault.parse}). *)
 
 val spec_term :
   ?default_engine:string -> ?default_cache_dir:string -> unit ->
@@ -71,12 +74,10 @@ val engine_of_spec : ?sparse_levels:float list -> spec -> Engine.t
     runtime layer doesn't know the device thresholds, so front-ends
     supply them (default: empty, which disables sparsification even
     with the flag). The caller owns the pool ({!Engine.pool}) and must
-    shut it down. Does NOT arm fault injection — call {!arm_faults}
-    exactly once per process. *)
+    shut it down. [--inject-faults] arms a fresh solver plan on the
+    engine ({!Engine.with_faults}) and [--inject-cache-faults] a fresh
+    disk plan on its cache, so each call starts both at op index 0. *)
 
 val policy_of_spec : spec -> Resilience.policy
 (** Just the resilience policy ([--fallback]/[--retries]). *)
 
-val arm_faults : spec -> unit
-(** Arm [--inject-faults] and [--inject-cache-faults] (both
-    process-global); no-op without the flags. *)

@@ -8,6 +8,7 @@ type t = {
   deadline_ms : float option;
   guard : Guard.t option;
   batch : int;
+  faults : Spice.Transient.fault Fault.t option;
 }
 
 let default_batch = 16
@@ -20,7 +21,8 @@ let make ?(name = "custom") ?(solver = Spice.Transient.default_config) ?pool
       invalid_arg "Engine.make: deadline_ms must be positive"
   | _ -> ());
   if batch < 1 then invalid_arg "Engine.make: batch must be >= 1";
-  { name; solver; pool; cache; metrics; resilience; deadline_ms; guard; batch }
+  { name; solver; pool; cache; metrics; resilience; deadline_ms; guard; batch;
+    faults = None }
 
 (* Presets share the Newton/gmin settings of [default_config] and only
    disagree about step control. [reference] is the historical fixed
@@ -65,6 +67,7 @@ let resilience t = t.resilience
 let deadline_ms t = t.deadline_ms
 let guard t = t.guard
 let batch t = t.batch
+let faults t = t.faults
 
 let with_solver t solver = { t with solver }
 let with_pool t pool = { t with pool = Some pool }
@@ -78,6 +81,24 @@ let with_deadline t ms =
   { t with deadline_ms = Some ms }
 
 let with_guard t guard = { t with guard = Some guard }
+
+(* The [--inject-faults] vocabulary: a bare spec diverges, [nan:]
+   corrupts the waveform, [slow:] stalls every step. *)
+let fault_kinds =
+  {
+    Fault.name = "fault";
+    salt = "tran.fault";
+    prefixes =
+      [ ("nan", Spice.Transient.Corrupt); ("slow", Spice.Transient.Slow) ];
+    default = Spice.Transient.Diverge;
+  }
+
+let with_faults t plan = { t with faults = Some plan }
+
+let roll_fault t =
+  match t.faults with
+  | None -> None
+  | Some plan -> Option.map snd (Fault.roll plan)
 
 let with_batch t batch =
   if batch < 1 then invalid_arg "Engine.with_batch: batch must be >= 1";

@@ -74,6 +74,24 @@ val batch : t -> int
     warm-up task solves, and the largest request batch [sta_serve]
     forms. *)
 
+val faults : t -> Spice.Transient.fault Fault.t option
+(** The armed solver fault plan ([--inject-faults]); [None] = no
+    injection. Engines derived from this one by the [with_*] and
+    [map_solver] functions share the plan, so they share one solve
+    index. *)
+
+val fault_kinds : Spice.Transient.fault Fault.kinds
+(** The solver fault vocabulary: a bare spec is [Diverge], [nan:]
+    [Corrupt], [slow:] [Slow]; salt ["tran.fault"]. *)
+
+val with_faults : t -> Spice.Transient.fault Fault.t -> t
+
+val roll_fault : t -> Spice.Transient.fault option
+(** Take the next solve index of the engine's plan and return the
+    fault to inject into that solve, if any. Harnesses call it right
+    before each [Spice.Transient.run] and pass the result as [?fault];
+    without a plan it is one field check. *)
+
 val with_solver : t -> Spice.Transient.config -> t
 val with_pool : t -> Pool.t -> t
 val with_cache : t -> Cache.t -> t

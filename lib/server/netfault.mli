@@ -1,12 +1,12 @@
 (** Deterministic network fault injection for chaos testing.
 
-    The I/O twin of [Spice.Transient.Fault]: a process-global armed
-    plan, a global fd-op counter, and a seeded digest roll per op, so
-    a given (plan, op sequence) always faults the same ops. {!read}
-    and {!write} are drop-in replacements for [Unix.read]/[Unix.write]
+    A kind table over [Runtime.Fault] (salt ["net.fault"]). Unlike the
+    solver and disk plans, which an engine and a cache carry, this plan
+    is process-wide: one armed plan and one fd-op counter, so that it
+    faults the daemon and any in-process clients alike. {!read} and
+    {!write} are drop-in replacements for [Unix.read]/[Unix.write]
     with a one-atomic-load fast path when disarmed; [Protocol]'s
-    framing routes every fd op through them, so arming a plan subjects
-    both the daemon and any in-process clients to the same chaos.
+    framing routes every fd op through them.
 
     Fault kinds:
     - [Torn] — the op is truncated to one byte, exercising the
@@ -23,26 +23,24 @@ type kind = Torn | Stall | Drop | Corrupt
 
 val kind_to_string : kind -> string
 
-type sel = Nth of { n : int } | Fraction of { rate : float; seed : int }
+val kinds : kind option Runtime.Fault.kinds
+(** Prefixes [torn:|stall:|drop:|corrupt:]; no prefix ([None]) rotates
+    through all four kinds by op index, so a single flag exercises
+    every failure mode. *)
 
-type plan = { kind : kind option; sel : sel }
-(** [kind = None] rotates through all four kinds by op index, so a
-    single flag exercises every failure mode. *)
-
-val of_string : string -> (plan, string) result
-(** Spec grammar: [[KIND:]("nth:"N | RATE["@"SEED])] with [KIND] one
-    of [torn|stall|drop|corrupt] — e.g. ["0.05@7"], ["drop:nth:3"],
-    ["stall:0.1"]. *)
+type plan = kind option Runtime.Fault.spec
+(** Parsed by [Runtime.Fault.parse kinds] — e.g. ["0.05@7"],
+    ["drop:nth:3"], ["stall:0.1"]. *)
 
 val arm : ?stall_s:float -> plan -> unit
-(** Arm [plan] process-globally and reset the op/injection counters.
-    [stall_s] (default 0.2) is the [Stall] sleep. *)
+(** Arm a fresh plan process-wide, at op index 0. [stall_s] (default
+    0.2) is the [Stall] sleep. *)
 
 val disarm : unit -> unit
 val is_armed : unit -> bool
 
 val injected : unit -> int
-(** Fd ops faulted since the last {!arm}. *)
+(** Fd ops faulted by the last armed plan, also after {!disarm}. *)
 
 val read : Unix.file_descr -> Bytes.t -> int -> int -> int
 (** [Unix.read] through the fault plan. *)

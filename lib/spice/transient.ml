@@ -312,103 +312,14 @@ module Deadline = struct
         end
 end
 
-(* Deterministic fault injection: tests, bench, and CI arm a plan and
-   every subsequent [run] rolls against it. Decisions depend only on
-   the process-global solve index (and a seed), never on wall-clock or
-   scheduling, so a given (plan, workload) pair injects the same faults
-   on every run — including across a checkpoint resume. *)
-module Fault = struct
-  type kind = Diverge | Corrupt | Slow
+(* Injected faults, applied by [run] when its caller's fault plan
+   (a [Runtime.Fault] plan on the engine) selects the solve. *)
+type fault = Diverge | Corrupt | Slow
 
-  (* Stall injected per accepted step by [Slow] — long enough that any
-     realistic deadline trips after a handful of steps, short enough
-     that an unbounded faulted solve still finishes. *)
-  let slow_step_s = 2e-4
-
-  type plan =
-    | Nth of { n : int; kind : kind }
-    | Fraction of { rate : float; seed : int; kind : kind }
-
-  let armed : plan option Atomic.t = Atomic.make None
-  let solve_index = Atomic.make 0
-
-  let arm plan =
-    Atomic.set solve_index 0;
-    Atomic.set armed (Some plan)
-
-  let disarm () = Atomic.set armed None
-  let is_armed () = Option.is_some (Atomic.get armed)
-  let injected () = Atomic.get Stats.injected_faults
-
-  (* Hash the (seed, index) pair to a uniform float in [0, 1). MD5 is
-     plenty fast next to a transient solve and identical everywhere. *)
-  let roll_float seed k =
-    let d = Digest.string (Printf.sprintf "tran.fault:%d:%d" seed k) in
-    let x = ref 0 in
-    for i = 0 to 5 do
-      x := (!x lsl 8) lor Char.code d.[i]
-    done;
-    float_of_int !x /. float_of_int (1 lsl 48)
-
-  let roll () =
-    match Atomic.get armed with
-    | None -> None
-    | Some plan ->
-        let k = Atomic.fetch_and_add solve_index 1 in
-        let hit, kind =
-          match plan with
-          | Nth { n; kind } -> (k = n, kind)
-          | Fraction { rate; seed; kind } -> (roll_float seed k < rate, kind)
-        in
-        if hit then begin
-          Atomic.incr Stats.injected_faults;
-          Some kind
-        end
-        else None
-
-  (* Spec grammar: ["nan:"|"slow:"]("nth:"N | RATE["@"SEED]). Examples:
-     "0.1" (10% of solves diverge, seed 0), "0.1@7", "nth:3",
-     "nan:0.05@2" (5% of solves return a NaN-corrupted waveform),
-     "slow:nth:1" (solve #1 stalls at every step boundary). *)
-  let of_string s =
-    let kind, rest =
-      match String.index_opt s ':' with
-      | Some i when String.sub s 0 i = "nan" ->
-          (Corrupt, String.sub s (i + 1) (String.length s - i - 1))
-      | Some i when String.sub s 0 i = "slow" ->
-          (Slow, String.sub s (i + 1) (String.length s - i - 1))
-      | _ -> (Diverge, s)
-    in
-    let nth_prefix = "nth:" in
-    let has_nth =
-      String.length rest > String.length nth_prefix
-      && String.sub rest 0 (String.length nth_prefix) = nth_prefix
-    in
-    if has_nth then
-      let num =
-        String.sub rest (String.length nth_prefix)
-          (String.length rest - String.length nth_prefix)
-      in
-      match int_of_string_opt num with
-      | Some n when n >= 0 -> Ok (Nth { n; kind })
-      | _ -> Error (Printf.sprintf "bad fault spec %S: nth:N needs N >= 0" s)
-    else
-      let rate_s, seed =
-        match String.index_opt rest '@' with
-        | Some i -> (
-            ( String.sub rest 0 i,
-              String.sub rest (i + 1) (String.length rest - i - 1) ))
-            |> fun (r, sd) -> (r, int_of_string_opt sd)
-        | None -> (rest, Some 0)
-      in
-      match (float_of_string_opt rate_s, seed) with
-      | Some rate, Some seed when rate >= 0.0 && rate <= 1.0 ->
-          Ok (Fraction { rate; seed; kind })
-      | _ ->
-          Error
-            (Printf.sprintf
-               "bad fault spec %S: want [nan:|slow:](nth:N | RATE[@SEED])" s)
-end
+(* Stall injected per accepted step by [Slow] — long enough that any
+   realistic deadline trips after a handful of steps, short enough that
+   an unbounded faulted solve still finishes. *)
+let slow_step_s = 2e-4
 
 (* Compiled, array-based view of the circuit for fast stamping. *)
 type compiled = {
@@ -1152,7 +1063,7 @@ type case_state = {
   c_cp : compiled;
   c_ws : ws;
   c_cfg : config;
-  c_fault : Fault.kind option; (* rolled by [run]; [Diverge] handled there *)
+  c_fault : fault option; (* [Diverge] is handled by [run] itself *)
   c_x : float array; (* committed solution *)
   c_vcap : float array;
   c_icap : float array;
@@ -1171,7 +1082,7 @@ let case_charge_step st ~at =
   st.c_steps <- st.c_steps + 1;
   Deadline.check ~at;
   (match st.c_fault with
-  | Some Fault.Slow -> Unix.sleepf Fault.slow_step_s
+  | Some Slow -> Unix.sleepf slow_step_s
   | _ -> ());
   if st.c_cfg.max_steps > 0 && st.c_steps > st.c_cfg.max_steps then
     raise (Step_budget_exhausted { at; budget = st.c_cfg.max_steps })
@@ -1460,7 +1371,7 @@ let assemble (cp : compiled) fault grid data =
      downstream validation must catch it whichever node it probes.
      Rows are fresh copies, so mutation is safe. *)
   (match fault with
-  | Some Fault.Corrupt when Array.length data > 1 && cp.n > 0 ->
+  | Some Corrupt when Array.length data > 1 && cp.n > 0 ->
       Array.fill data.(Array.length data / 2) 0 cp.n Float.nan
   | _ -> ());
   let branch_index = Hashtbl.create 8 in
@@ -1485,15 +1396,12 @@ let validate_config cfg =
   | Fixed -> ()
   | Adaptive a -> validate_adaptive a
 
-let run ?(config = default_config) ?(ic = []) ckt =
+let run ?(config = default_config) ?(ic = []) ?fault ckt =
   let cfg = config in
   Atomic.incr Stats.sims;
-  let fault = Fault.roll () in
-  (match fault with
-  | Some Fault.Diverge -> raise (No_convergence cfg.tstart)
-  | _ -> ());
-  (* Fail fast when the caller's budget is already spent — after the
-     fault roll so solve-index accounting matches an undeadlined run. *)
+  if Option.is_some fault then Atomic.incr Stats.injected_faults;
+  if fault = Some Diverge then raise (No_convergence cfg.tstart);
+  (* Fail fast when the caller's budget is already spent. *)
   Deadline.check ~at:cfg.tstart;
   validate_config cfg;
   let cp = compile ckt in

@@ -167,7 +167,7 @@ module Stats : sig
     lte_rejections : int;
         (** rejected steps whose LTE estimate exceeded the tolerance *)
     injected_faults : int;
-        (** faults injected by an armed {!Fault} plan *)
+        (** solves that ran with a [?fault] injected *)
     deadline_hits : int;
         (** solves cancelled by an expired {!Deadline} budget *)
     factorizations : int;
@@ -211,54 +211,29 @@ module Deadline : sig
   (** Whether the calling domain currently has a budget installed. *)
 end
 
-(** Deterministic, seeded fault injection for exercising recovery
-    paths. Arm a plan and every subsequent {!run} (process-wide, all
-    domains) rolls against it: [Diverge] raises {!No_convergence}
-    before solving; [Corrupt] completes the solve but poisons one
-    mid-trace sample with NaN, which post-solve validation must catch.
-    Decisions depend only on the solve index since {!arm} (plus the
-    seed), so a fixed plan over a fixed workload reproduces exactly. *)
-module Fault : sig
-  type kind =
-    | Diverge  (** raise [No_convergence] at [tstart] *)
-    | Corrupt  (** return a waveform with a NaN sample *)
-    | Slow
-        (** stall at every accepted step boundary — the solve still
-            completes (slowly) unless a {!Deadline} budget cancels it *)
-
-  type plan =
-    | Nth of { n : int; kind : kind }
-        (** fail solve number [n] (0-based, counted from {!arm}) *)
-    | Fraction of { rate : float; seed : int; kind : kind }
-        (** fail a seeded pseudo-random fraction of solves *)
-
-  val arm : plan -> unit
-  (** Install the plan and reset the solve index. *)
-
-  val disarm : unit -> unit
-
-  val is_armed : unit -> bool
-  (** Whether a plan is currently armed. Harnesses use this to skip
-      optimizations (e.g. the cache warm-up ahead of a sweep) that
-      would reorder the solve-index sequence a deterministic plan
-      assigns faults by. *)
-
-  val injected : unit -> int
-  (** Total faults injected — alias for [Stats.injected_faults]. *)
-
-  val of_string : string -> (plan, string) result
-  (** Parse a CLI spec: [["nan:"|"slow:"]("nth:"N | RATE["@"SEED])] —
-      e.g. ["0.1"], ["0.1@7"], ["nth:3"], ["nan:0.05@2"],
-      ["slow:nth:1"]. *)
-end
+(** Injected faults, for exercising recovery paths. Which solves fail
+    is decided by the caller's seeded plan ([Runtime.Fault], carried by
+    a [Runtime.Engine]); [run] applies the effect and counts it in
+    {!Stats.injected_faults}. *)
+type fault =
+  | Diverge  (** raise {!No_convergence} at [tstart], before solving *)
+  | Corrupt
+      (** complete the solve but poison one mid-trace sample with NaN,
+          which post-solve validation must catch *)
+  | Slow
+      (** stall at every accepted step boundary — the solve still
+          completes (slowly) unless a {!Deadline} budget cancels it *)
 
 type result
 
-val run : ?config:config -> ?ic:(string * float) list -> Circuit.t -> result
+val run :
+  ?config:config -> ?ic:(string * float) list -> ?fault:fault -> Circuit.t ->
+  result
 (** Simulate. The initial state is the DC operating point at [tstart]
     (with sources evaluated there); [ic] entries override individual
     node voltages as Newton starting guesses for the DC solve, which is
-    how logic-level hints are passed in. *)
+    how logic-level hints are passed in. [fault] injects that fault
+    into this solve. *)
 
 val times : result -> float array
 

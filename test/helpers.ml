@@ -61,3 +61,34 @@ let fresh_arc (ctx : Eqwave.Technique.ctx) =
     noiseless_out = copy ctx.Eqwave.Technique.noiseless_out;
     metrics = None;
   }
+
+(* [engine] (default the reference engine) carrying a freshly armed
+   solver fault plan. *)
+let with_solver_faults ?(engine = Runtime.Engine.reference) kind sel =
+  Runtime.Engine.with_faults engine
+    (Runtime.Fault.arm Runtime.Engine.fault_kinds { Runtime.Fault.kind; sel })
+
+let contains_sub ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* One fault-spec grammar table: every [accept] row parses to its
+   expected spec, every [reject] row is refused with the grammar. *)
+let fault_grammar kinds ~accept ~reject =
+  List.iter
+    (fun (s, want) ->
+      match Runtime.Fault.parse kinds s with
+      | Ok got ->
+          check_true (Printf.sprintf "%S parsed as expected" s) (got = want)
+      | Error msg -> Alcotest.failf "spec %S rejected: %s" s msg)
+    accept;
+  List.iter
+    (fun s ->
+      match Runtime.Fault.parse kinds s with
+      | Ok _ -> Alcotest.failf "spec %S accepted" s
+      | Error msg ->
+          check_true
+            (Printf.sprintf "%S: error names the grammar" s)
+            (contains_sub ~sub:"(nth:N | RATE[@SEED])" msg))
+    reject

@@ -428,18 +428,16 @@ let test_generous_budget_is_transparent () =
 let test_slow_fault_trips_deadline () =
   let ckt = rc_circuit () in
   let before = deadline_hits () in
-  Spice.Transient.Fault.(arm (Nth { n = 0; kind = Slow }));
-  Fun.protect ~finally:Spice.Transient.Fault.disarm (fun () ->
-      match
-        Spice.Transient.Deadline.with_budget ~ms:2.0 (fun () ->
-            Spice.Transient.run ~config:rc_config ckt)
-      with
-      | (_ : Spice.Transient.result) ->
-          Alcotest.fail "stalled solve completed under a 2 ms budget"
-      | exception Spice.Transient.Deadline_exceeded { budget_ms; _ } ->
-          approx "reported budget" 2.0 budget_ms;
-          Alcotest.(check int) "deadline hit counted" (before + 1)
-            (deadline_hits ()))
+  match
+    Spice.Transient.Deadline.with_budget ~ms:2.0 (fun () ->
+        Spice.Transient.run ~config:rc_config ~fault:Spice.Transient.Slow ckt)
+  with
+  | (_ : Spice.Transient.result) ->
+      Alcotest.fail "stalled solve completed under a 2 ms budget"
+  | exception Spice.Transient.Deadline_exceeded { budget_ms; _ } ->
+      approx "reported budget" 2.0 budget_ms;
+      Alcotest.(check int)
+        "deadline hit counted" (before + 1) (deadline_hits ())
 
 let test_slow_fault_without_deadline_completes () =
   (* Slow only stalls; with no budget installed the solve finishes and
@@ -447,11 +445,7 @@ let test_slow_fault_without_deadline_completes () =
   let ckt = rc_circuit () in
   let config = { rc_config with Spice.Transient.tstop = 4e-12 } in
   let clean = Spice.Transient.run ~config ckt in
-  Spice.Transient.Fault.(arm (Nth { n = 0; kind = Slow }));
-  let stalled =
-    Fun.protect ~finally:Spice.Transient.Fault.disarm (fun () ->
-        Spice.Transient.run ~config ckt)
-  in
+  let stalled = Spice.Transient.run ~config ~fault:Spice.Transient.Slow ckt in
   check_true "same waveform"
     (compare
        (Waveform.Wave.values (Spice.Transient.probe clean "mid"))
@@ -470,12 +464,13 @@ let test_sweep_deadline_cancellation () =
   (* Solve order without a cache: noiseless (#0), then per case noisy
      chain, receiver replay, one technique receiver — solve #4 is
      case 1's noisy chain run. *)
-  Spice.Transient.Fault.(arm (Nth { n = 4; kind = Slow }));
   let faulted =
-    Fun.protect ~finally:Spice.Transient.Fault.disarm (fun () ->
-        Noise.Eval.run_table ~techniques:sgdp_only
-          ~engine:(Runtime.Engine.with_deadline Runtime.Engine.reference 100.0)
-          scen)
+    Noise.Eval.run_table ~techniques:sgdp_only
+      ~engine:
+        (with_solver_faults
+           ~engine:(Runtime.Engine.with_deadline Runtime.Engine.reference 100.0)
+           Spice.Transient.Slow (Runtime.Fault.Nth 4))
+      scen
   in
   let case i t = List.nth t.Noise.Eval.cases i in
   (match (case 1 faulted).Noise.Eval.mapping with
@@ -500,37 +495,35 @@ let test_sweep_deadline_cancellation () =
    own task — each cancels cleanly with its own budget in the payload,
    nothing leaks to the caller, and the pool survives. *)
 let test_pool_deadline_concurrent_cancellation () =
-  Spice.Transient.Fault.(arm (Fraction { rate = 1.0; seed = 11; kind = Slow }));
-  Fun.protect ~finally:Spice.Transient.Fault.disarm (fun () ->
-      Runtime.Pool.with_pool ~jobs:4 (fun pool ->
-          let n = 12 in
-          let outcomes =
-            Runtime.Pool.map ~chunk:1 pool n (fun i ->
-                (* Distinct budgets per task prove the worker reads its
-                   own token, not a neighbour's. *)
-                let ms = 2.0 +. (0.5 *. float_of_int (i mod 3)) in
-                match
-                  Runtime.Pool.with_deadline ~ms (fun () ->
-                      Spice.Transient.run ~config:rc_config (rc_circuit ()))
-                with
-                | (_ : Spice.Transient.result) -> `Completed
-                | exception Spice.Transient.Deadline_exceeded { budget_ms; _ }
-                  ->
-                    if budget_ms = ms then `Cancelled else `Wrong_budget)
-          in
-          Array.iteri
-            (fun i o ->
-              check_true
-                (Printf.sprintf "task %d cancelled under its own budget" i)
-                (o = `Cancelled))
-            outcomes;
-          check_true "no budget leaked to the caller"
-            (not (Spice.Transient.Deadline.active ()));
-          let after = Runtime.Pool.map pool 8 (fun i -> i * i) in
-          Alcotest.(check (array int))
-            "pool still serves work"
-            (Array.init 8 (fun i -> i * i))
-            after))
+  Runtime.Pool.with_pool ~jobs:4 (fun pool ->
+      let n = 12 in
+      let outcomes =
+        Runtime.Pool.map ~chunk:1 pool n (fun i ->
+            (* Distinct budgets per task prove the worker reads its own
+               token, not a neighbour's. *)
+            let ms = 2.0 +. (0.5 *. float_of_int (i mod 3)) in
+            match
+              Runtime.Pool.with_deadline ~ms (fun () ->
+                  Spice.Transient.run ~config:rc_config
+                    ~fault:Spice.Transient.Slow (rc_circuit ()))
+            with
+            | (_ : Spice.Transient.result) -> `Completed
+            | exception Spice.Transient.Deadline_exceeded { budget_ms; _ } ->
+                if budget_ms = ms then `Cancelled else `Wrong_budget)
+      in
+      Array.iteri
+        (fun i o ->
+          check_true
+            (Printf.sprintf "task %d cancelled under its own budget" i)
+            (o = `Cancelled))
+        outcomes;
+      check_true "no budget leaked to the caller"
+        (not (Spice.Transient.Deadline.active ()));
+      let after = Runtime.Pool.map pool 8 (fun i -> i * i) in
+      Alcotest.(check (array int))
+        "pool still serves work"
+        (Array.init 8 (fun i -> i * i))
+        after)
 
 (* ------------------------------------------------------------------ *)
 (* Differential guard                                                  *)
@@ -554,6 +547,30 @@ let test_guard_selection_deterministic () =
   let all = Runtime.Guard.make ~every:1 () in
   check_true "every=1 selects everything"
     (List.for_all Fun.id (List.init 50 (Runtime.Guard.selects all)))
+
+(* The guarded indices among cases 0-99, recorded from the guard's
+   own digest loop before it moved onto the shared fault digest. *)
+let test_guard_pinned_selection () =
+  List.iter
+    (fun (seed, every, want) ->
+      let g = Runtime.Guard.make ~every ~seed () in
+      Alcotest.(check (list int))
+        (Printf.sprintf "seed %d every %d" seed every)
+        want
+        (List.filter (Runtime.Guard.selects g) (List.init 100 Fun.id)))
+    [
+      ( 0, 2,
+        [ 1; 3; 5; 6; 8; 11; 13; 15; 18; 20; 21; 23; 25; 26; 28; 30; 31; 33;
+          34; 37; 41; 49; 50; 51; 54; 55; 58; 60; 61; 62; 63; 65; 66; 67; 68;
+          69; 71; 72; 73; 74; 75; 76; 79; 81; 90; 91; 96; 99 ] );
+      (0, 8, [ 23; 25; 55; 68; 91 ]);
+      ( 7, 2,
+        [ 0; 1; 3; 4; 5; 6; 7; 8; 11; 14; 16; 18; 19; 20; 22; 23; 24; 26; 27;
+          28; 29; 32; 34; 35; 37; 39; 40; 41; 43; 44; 46; 47; 50; 51; 52; 53;
+          54; 56; 57; 58; 59; 60; 61; 64; 65; 70; 72; 74; 78; 83; 84; 86; 87;
+          88; 89; 91; 92; 93; 96; 98 ] );
+      (7, 8, [ 24; 28; 29; 32; 35; 37; 40; 43; 50; 56; 59; 74; 93 ]);
+    ]
 
 let test_guard_record_and_stats () =
   let before = Runtime.Guard.Stats.snapshot () in
@@ -742,6 +759,7 @@ let suite =
         test_pool_deadline_concurrent_cancellation;
       case "guard: validation" test_guard_validation;
       case "guard: deterministic selection" test_guard_selection_deterministic;
+      case "guard: pinned selection" test_guard_pinned_selection;
       case "guard: record and stats" test_guard_record_and_stats;
       slow_case "guard: sweep agrees with itself"
         test_guarded_sweep_agrees_with_itself;

@@ -83,8 +83,8 @@ let test_fuzz_under_netfaults () =
   (* Arm net faults so the frame trips see torn/stalled/dropped/
      corrupted fd ops: outcomes must stay typed. *)
   Server.Netfault.arm ~stall_s:0.002
-    { Server.Netfault.kind = None;
-      sel = Server.Netfault.Fraction { rate = 0.3; seed = 9 } };
+    { Runtime.Fault.kind = None;
+      sel = Runtime.Fault.Fraction { rate = 0.3; seed = 9 } };
   Fun.protect ~finally:Server.Netfault.disarm (fun () ->
       let s = Server.Fuzz.run ~seed:5 ~count:600 ~frame_every:4 () in
       check_no_escapes "under net faults" s;
@@ -95,63 +95,92 @@ let test_fuzz_under_netfaults () =
 (* Fault-plan grammars *)
 
 let test_netfault_grammar () =
-  let ok s =
-    match Server.Netfault.of_string s with
-    | Ok p -> p
-    | Error msg -> Alcotest.failf "spec %S rejected: %s" s msg
-  in
-  let err s =
-    match Server.Netfault.of_string s with
-    | Ok _ -> Alcotest.failf "spec %S accepted" s
-    | Error _ -> ()
-  in
-  (match ok "nth:3" with
-  | { Server.Netfault.kind = None; sel = Server.Netfault.Nth { n = 3 } } -> ()
-  | _ -> Alcotest.fail "nth:3 parsed wrong");
-  (match ok "drop:nth:0" with
-  | { Server.Netfault.kind = Some Server.Netfault.Drop;
-      sel = Server.Netfault.Nth { n = 0 } } -> ()
-  | _ -> Alcotest.fail "drop:nth:0 parsed wrong");
-  (match ok "0.25@7" with
-  | { Server.Netfault.kind = None;
-      sel = Server.Netfault.Fraction { rate; seed = 7 } } ->
-      approx "rate" 0.25 rate
-  | _ -> Alcotest.fail "0.25@7 parsed wrong");
-  (match ok "stall:0.1" with
-  | { Server.Netfault.kind = Some Server.Netfault.Stall;
-      sel = Server.Netfault.Fraction { rate; seed = 0 } } ->
-      approx "rate" 0.1 rate
-  | _ -> Alcotest.fail "stall:0.1 parsed wrong");
-  ignore (ok "torn:1.0");
-  ignore (ok "corrupt:nth:9");
-  err "nth:-1";
-  err "1.5";
-  err "-0.1";
-  err "bogus:0.5";
-  err "0.5@x";
-  err ""
+  let open Runtime.Fault in
+  let net kind sel = { kind; sel } in
+  let frac rate = Fraction { rate; seed = 0 } in
+  fault_grammar Server.Netfault.kinds
+    ~accept:
+      [
+        ("nth:3", net None (Nth 3));
+        ("drop:nth:0", net (Some Server.Netfault.Drop) (Nth 0));
+        ("0.25@7", net None (Fraction { rate = 0.25; seed = 7 }));
+        ("stall:0.1", net (Some Server.Netfault.Stall) (frac 0.1));
+        ("torn:1.0", net (Some Server.Netfault.Torn) (frac 1.0));
+        ("corrupt:nth:9", net (Some Server.Netfault.Corrupt) (Nth 9));
+      ]
+    ~reject:[ "nth:-1"; "1.5"; "-0.1"; "bogus:0.5"; "0.5@x"; ""; "nan:0.1" ]
 
 let test_cache_fault_grammar () =
-  let ok s =
-    match Runtime.Cache.Disk_fault.of_string s with
-    | Ok p -> p
-    | Error msg -> Alcotest.failf "spec %S rejected: %s" s msg
+  let open Runtime.Fault in
+  fault_grammar Runtime.Cache.fault_kinds
+    ~accept:
+      [
+        ("nth:2", { kind = (); sel = Nth 2 });
+        ("0.5@13", { kind = (); sel = Fraction { rate = 0.5; seed = 13 } });
+      ]
+    ~reject:
+      [ "nth:x"; "2.0"; ""; "nan:0.1"; "slow:nth:1"; "torn:0.1"; "drop:nth:0" ]
+
+(* The op indices each injector's salt faults among its first 200 ops,
+   recorded from the per-injector implementations these plans replaced:
+   a plan must keep faulting exactly these ops. *)
+let test_fault_pinned_indices () =
+  let faulted kinds spec =
+    let plan =
+      Runtime.Fault.arm kinds (Result.get_ok (Runtime.Fault.parse kinds spec))
+    in
+    List.filter_map
+      (fun _ -> Option.map fst (Runtime.Fault.roll plan))
+      (List.init 200 Fun.id)
   in
-  let err s =
-    match Runtime.Cache.Disk_fault.of_string s with
-    | Ok _ -> Alcotest.failf "spec %S accepted" s
-    | Error _ -> ()
+  let pin name kinds spec want =
+    Alcotest.(check (list int)) (name ^ " " ^ spec) want (faulted kinds spec)
   in
-  (match ok "nth:2" with
-  | Runtime.Cache.Disk_fault.Nth { n = 2 } -> ()
-  | _ -> Alcotest.fail "nth:2 parsed wrong");
-  (match ok "0.5@13" with
-  | Runtime.Cache.Disk_fault.Fraction { rate; seed = 13 } ->
-      approx "rate" 0.5 rate
-  | _ -> Alcotest.fail "0.5@13 parsed wrong");
-  err "nth:x";
-  err "2.0";
-  err ""
+  let tran = pin "tran.fault" Runtime.Engine.fault_kinds in
+  tran "0.1@7"
+    [ 7; 21; 24; 30; 31; 35; 40; 53; 61; 81; 88; 95; 130; 132; 142; 156; 159;
+      172; 175; 195 ];
+  tran "0.6@11"
+    [ 0; 7; 9; 11; 12; 13; 14; 16; 17; 20; 22; 28; 30; 31; 33; 34; 38; 40;
+      41; 42; 44; 46; 47; 48; 49; 50; 52; 54; 55; 56; 57; 59; 61; 64; 66; 67;
+      68; 69; 70; 71; 73; 74; 75; 76; 84; 86; 87; 88; 89; 93; 99; 100; 101;
+      104; 107; 109; 111; 114; 115; 118; 119; 121; 122; 124; 131; 132; 133;
+      135; 137; 138; 139; 140; 141; 142; 143; 144; 145; 147; 148; 150; 152;
+      154; 156; 158; 160; 161; 162; 163; 164; 165; 167; 168; 170; 171; 175;
+      178; 179; 181; 182; 183; 185; 186; 187; 188; 190; 192; 194; 195; 196;
+      198; 199 ];
+  tran "0.05@7" [ 7; 21; 30; 35; 40; 53; 88; 95; 130; 172; 175; 195 ];
+  tran "nth:3" [ 3 ];
+  let cache = pin "cache.fault" Runtime.Cache.fault_kinds in
+  cache "0.1@7"
+    [ 2; 9; 15; 17; 24; 26; 29; 34; 37; 40; 51; 59; 64; 68; 71; 87; 97; 109;
+      111; 116; 140; 141; 149; 152; 172; 174 ];
+  cache "0.6@11"
+    [ 0; 1; 2; 7; 10; 11; 12; 13; 15; 17; 18; 19; 21; 23; 25; 26; 28; 29; 32;
+      33; 34; 36; 37; 39; 42; 43; 44; 46; 50; 54; 55; 57; 58; 59; 63; 64; 65;
+      66; 67; 68; 70; 71; 72; 77; 78; 79; 83; 85; 86; 88; 89; 91; 92; 93; 94;
+      96; 97; 99; 100; 101; 102; 104; 106; 107; 108; 109; 110; 114; 115; 116;
+      117; 119; 120; 123; 124; 127; 129; 130; 131; 133; 134; 135; 137; 138;
+      139; 140; 146; 147; 150; 153; 154; 155; 156; 157; 158; 161; 162; 164;
+      167; 168; 169; 173; 174; 177; 180; 181; 182; 186; 187; 189; 192; 193;
+      194; 196; 197; 199 ];
+  cache "0.05@7" [ 9; 15; 24; 26; 37; 51; 68; 97; 109; 116; 172; 174 ];
+  cache "nth:3" [ 3 ];
+  let net = pin "net.fault" Server.Netfault.kinds in
+  net "0.1@7"
+    [ 8; 9; 18; 29; 39; 42; 54; 74; 75; 76; 86; 90; 96; 101; 111; 113; 130;
+      136; 137; 141; 142; 156; 175; 182; 193 ];
+  net "0.6@11"
+    [ 0; 1; 2; 4; 5; 7; 11; 12; 13; 15; 16; 17; 19; 20; 21; 23; 24; 28; 30;
+      31; 32; 33; 34; 37; 38; 39; 40; 41; 42; 44; 45; 48; 49; 52; 53; 57; 58;
+      59; 60; 61; 65; 66; 72; 76; 77; 78; 80; 82; 85; 86; 87; 88; 89; 90; 91;
+      92; 93; 100; 101; 103; 104; 105; 106; 108; 110; 111; 112; 113; 114; 115;
+      116; 117; 118; 121; 123; 124; 125; 127; 128; 130; 132; 133; 136; 137;
+      138; 142; 143; 144; 146; 149; 150; 151; 152; 155; 156; 157; 158; 159;
+      160; 161; 163; 170; 171; 173; 174; 176; 178; 179; 180; 183; 187; 189;
+      193; 195; 196; 197; 198 ];
+  net "0.05@7" [ 8; 9; 42; 90; 96; 136; 141; 156; 175; 193 ];
+  net "nth:3" [ 3 ]
 
 (* ------------------------------------------------------------------ *)
 (* Circuit breaker state machine *)
@@ -288,6 +317,10 @@ let with_tmp_dir f =
       try Unix.rmdir dir with Unix.Unix_error _ -> ())
     (fun () -> f dir)
 
+let disk_plan rate seed =
+  Runtime.Fault.arm Runtime.Cache.fault_kinds
+    { Runtime.Fault.kind = (); sel = Runtime.Fault.Fraction { rate; seed } }
+
 let test_cache_breaker_under_injected_faults () =
   with_tmp_dir (fun dir ->
       let now = ref 0.0 in
@@ -299,22 +332,18 @@ let test_cache_breaker_under_injected_faults () =
       in
       let wave = Waveform.Wave.create [| 0.0; 1e-12 |] [| 0.0; 1.0 |] in
       (* Every disk op fails while armed. *)
-      Runtime.Cache.Disk_fault.arm
-        (Runtime.Cache.Disk_fault.Fraction { rate = 1.0; seed = 0 });
-      Fun.protect ~finally:Runtime.Cache.Disk_fault.disarm (fun () ->
-          for i = 0 to 7 do
-            Runtime.Cache.store cache (Printf.sprintf "key%d" i) [ wave ]
-          done;
-          check_true "breaker opened"
-            (Runtime.Cache.breaker_state cache
-            = Some Runtime.Cache.Breaker.Open);
-          check_true "write errors counted"
-            (Runtime.Cache.write_errors cache >= 4);
-          (* Memory shards keep serving while the disk is fenced off. *)
-          check_true "memory still serves"
-            (Runtime.Cache.find cache "key0" <> None);
-          check_true "short circuits happened"
-            (Runtime.Cache.breaker_short_circuits cache > 0));
+      Runtime.Cache.set_faults cache (Some (disk_plan 1.0 0));
+      for i = 0 to 7 do
+        Runtime.Cache.store cache (Printf.sprintf "key%d" i) [ wave ]
+      done;
+      check_true "breaker opened"
+        (Runtime.Cache.breaker_state cache = Some Runtime.Cache.Breaker.Open);
+      check_true "write errors counted" (Runtime.Cache.write_errors cache >= 4);
+      (* Memory shards keep serving while the disk is fenced off. *)
+      check_true "memory still serves" (Runtime.Cache.find cache "key0" <> None);
+      check_true "short circuits happened"
+        (Runtime.Cache.breaker_short_circuits cache > 0);
+      Runtime.Cache.set_faults cache None;
       (* Disarmed + cooled down: the half-open probe re-closes it. *)
       now := 6.0;
       Runtime.Cache.store cache "probe" [ wave ];
@@ -329,17 +358,15 @@ let test_cache_breaker_under_injected_faults () =
         (Runtime.Cache.find cache2 "probe" <> None))
 
 let test_disk_fault_determinism () =
-  let plan = Runtime.Cache.Disk_fault.Fraction { rate = 0.5; seed = 3 } in
   let record () =
-    Runtime.Cache.Disk_fault.arm plan;
-    Fun.protect ~finally:Runtime.Cache.Disk_fault.disarm (fun () ->
-        with_tmp_dir (fun dir ->
-            let cache = Runtime.Cache.create ~disk_dir:dir () in
-            for i = 0 to 19 do
-              ignore (Runtime.Cache.find cache (Printf.sprintf "k%d" i))
-            done;
-            ( Runtime.Cache.Disk_fault.injected (),
-              Runtime.Cache.read_errors cache )))
+    with_tmp_dir (fun dir ->
+        let plan = disk_plan 0.5 3 in
+        let cache = Runtime.Cache.create ~disk_dir:dir () in
+        Runtime.Cache.set_faults cache (Some plan);
+        for i = 0 to 19 do
+          ignore (Runtime.Cache.find cache (Printf.sprintf "k%d" i))
+        done;
+        (Runtime.Fault.injected plan, Runtime.Cache.read_errors cache))
   in
   let i1, e1 = record () and i2, e2 = record () in
   Alcotest.(check int) "same injections" i1 i2;
@@ -356,6 +383,7 @@ let suite =
       case "sweep under net faults stays typed" test_fuzz_under_netfaults;
       case "netfault grammar" test_netfault_grammar;
       case "cache fault grammar" test_cache_fault_grammar;
+      case "fault plan pinned indices" test_fault_pinned_indices;
       case "breaker closed->open->half->closed" test_breaker_cycle;
       test_breaker_properties;
       case "breaker create validation" test_breaker_create_validation;

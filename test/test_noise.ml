@@ -197,10 +197,12 @@ let test_shared_rho_after_purge () =
   let _, c1 = noiseless_ctx ~engine:(engine ()) fast_scenario in
   let s1 = Eqwave.Sensitivity.shared c1 in
   let e2 = engine () in
-  Spice.Transient.Fault.(arm (Nth { n = 0; kind = Corrupt }));
   let _, c2 =
-    Fun.protect ~finally:Spice.Transient.Fault.disarm (fun () ->
-        noiseless_ctx ~engine:e2 fast_scenario)
+    noiseless_ctx
+      ~engine:
+        (with_solver_faults ~engine:e2 Spice.Transient.Corrupt
+           (Runtime.Fault.Nth 0))
+      fast_scenario
   in
   let s2 = Eqwave.Sensitivity.shared c2 in
   same_sens "re-solved" s2 (Eqwave.Sensitivity.compute c2);

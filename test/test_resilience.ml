@@ -109,62 +109,57 @@ let test_step_budget () =
   | exception Spice.Transient.Step_budget_exhausted { budget; _ } ->
       Alcotest.(check int) "reported budget" 10 budget
 
-let test_fault_nth_fires_once () =
+(* Solve [rc_circuit] [n] times under [engine]'s fault plan, rolled
+   before each solve as the harnesses do; true where it diverged. *)
+let faulted_runs engine n =
   let ckt = rc_circuit () in
-  let run () =
-    match Spice.Transient.run ~config:rc_config ckt with
-    | (_ : Spice.Transient.result) -> false
-    | exception Spice.Transient.No_convergence _ -> true
-  in
-  let before = Spice.Transient.Fault.injected () in
-  Spice.Transient.Fault.(arm (Nth { n = 1; kind = Diverge }));
-  Fun.protect ~finally:Spice.Transient.Fault.disarm (fun () ->
-      let hits = List.init 4 (fun _ -> run ()) in
-      Alcotest.(check (list bool))
-        "exactly solve #1 diverges"
-        [ false; true; false; false ]
-        hits;
-      Alcotest.(check int) "one injection counted" (before + 1)
-        (Spice.Transient.Fault.injected ()))
+  List.init n (fun _ ->
+      match
+        Spice.Transient.run ~config:rc_config
+          ?fault:(Engine.roll_fault engine) ckt
+      with
+      | (_ : Spice.Transient.result) -> false
+      | exception Spice.Transient.No_convergence _ -> true)
+
+let test_fault_nth_fires_once () =
+  let before = (Spice.Transient.Stats.snapshot ()).injected_faults in
+  let engine = with_solver_faults Spice.Transient.Diverge (Fault.Nth 1) in
+  Alcotest.(check (list bool))
+    "exactly solve #1 diverges" [ false; true; false; false ]
+    (faulted_runs engine 4);
+  Alcotest.(check int) "one injection on the plan" 1
+    (Fault.injected (Option.get (Engine.faults engine)));
+  Alcotest.(check int) "one injection in the solver stats" (before + 1)
+    (Spice.Transient.Stats.snapshot ()).injected_faults
 
 let test_fault_fraction_reproducible () =
-  let ckt = rc_circuit () in
   let run_seq () =
-    Spice.Transient.Fault.(
-      arm (Fraction { rate = 0.5; seed = 9; kind = Diverge }));
-    List.init 12 (fun _ ->
-        match Spice.Transient.run ~config:rc_config ckt with
-        | (_ : Spice.Transient.result) -> false
-        | exception Spice.Transient.No_convergence _ -> true)
+    faulted_runs
+      (with_solver_faults Spice.Transient.Diverge
+         (Fault.Fraction { rate = 0.5; seed = 9 }))
+      12
   in
-  Fun.protect ~finally:Spice.Transient.Fault.disarm (fun () ->
-      let a = run_seq () in
-      let b = run_seq () in
-      Alcotest.(check (list bool)) "same seed, same faults" a b;
-      check_true "some faulted" (List.mem true a);
-      check_true "some survived" (List.mem false a))
+  let a = run_seq () in
+  let b = run_seq () in
+  Alcotest.(check (list bool)) "same seed, same faults" a b;
+  check_true "some faulted" (List.mem true a);
+  check_true "some survived" (List.mem false a)
 
 let test_fault_of_string () =
-  let open Spice.Transient.Fault in
-  (match of_string "nth:3" with
-  | Ok (Nth { n = 3; kind = Diverge }) -> ()
-  | _ -> Alcotest.fail "nth:3");
-  (match of_string "nan:nth:0" with
-  | Ok (Nth { n = 0; kind = Corrupt }) -> ()
-  | _ -> Alcotest.fail "nan:nth:0");
-  (match of_string "0.1@7" with
-  | Ok (Fraction { rate; seed = 7; kind = Diverge }) ->
-      approx ~eps:1e-12 "rate" 0.1 rate
-  | _ -> Alcotest.fail "0.1@7");
-  (match of_string "nan:0.05" with
-  | Ok (Fraction { seed = 0; kind = Corrupt; _ }) -> ()
-  | _ -> Alcotest.fail "nan:0.05 defaults seed 0");
-  List.iter
-    (fun s ->
-      match of_string s with
-      | Ok _ -> Alcotest.failf "%S should not parse" s
-      | Error msg -> check_true "error mentions spec" (String.length msg > 0))
-    [ "bogus"; "nth:-1"; "nth:x"; "2.0"; "-0.1"; "0.1@x" ]
+  let open Fault in
+  let solver kind sel = { kind; sel } in
+  fault_grammar Engine.fault_kinds
+    ~accept:
+      [
+        ("nth:3", solver Spice.Transient.Diverge (Nth 3));
+        ("nan:nth:0", solver Spice.Transient.Corrupt (Nth 0));
+        ( "0.1@7",
+          solver Spice.Transient.Diverge (Fraction { rate = 0.1; seed = 7 }) );
+        ( "nan:0.05",
+          solver Spice.Transient.Corrupt (Fraction { rate = 0.05; seed = 0 }) );
+        ("slow:nth:1", solver Spice.Transient.Slow (Nth 1));
+      ]
+    ~reject:[ "bogus"; "nth:-1"; "nth:x"; "2.0"; "-0.1"; "0.1@x"; "torn:0.1" ]
 
 (* ------------------------------------------------------------------ *)
 (* The ladder                                                          *)
@@ -418,11 +413,12 @@ let test_cache_remove () =
 let test_sweep_recovers_injected_divergence () =
   let scen = Noise.Scenario.with_cases fast_scenario 2 in
   let before = Resilience.Stats.snapshot () in
-  Spice.Transient.Fault.(
-    arm (Fraction { rate = 0.2; seed = 2; kind = Diverge }));
   let table =
-    Fun.protect ~finally:Spice.Transient.Fault.disarm (fun () ->
-        Noise.Eval.run_table ~techniques:sgdp_only scen)
+    Noise.Eval.run_table ~techniques:sgdp_only
+      ~engine:
+        (with_solver_faults Spice.Transient.Diverge
+           (Fault.Fraction { rate = 0.2; seed = 2 }))
+      scen
   in
   let d = Resilience.Stats.(diff (snapshot ()) before) in
   check_true "faults were injected"
@@ -433,12 +429,79 @@ let test_sweep_recovers_injected_divergence () =
     (fun r -> Alcotest.(check int) "no failed rows" 0 r.Noise.Eval.n_failed)
     table.Noise.Eval.rows
 
+(* A solver fault plan belongs to one engine: an engine without one, in
+   the same process and on the same pool, neither rolls it nor loses
+   the warm-up and pruning that a plan switches off. *)
+let test_fault_plan_engine_scoped () =
+  let scen = Noise.Scenario.with_cases fast_scenario 4 in
+  let taus = Noise.Scenario.taus scen in
+  let a =
+    with_solver_faults Spice.Transient.Diverge
+      (Fault.Fraction { rate = 1.0; seed = 0 })
+  in
+  let b = Engine.reference in
+  let plan_a = Option.get (Engine.faults a) in
+  let solo =
+    Array.map (fun tau -> Noise.Injection.noisy ~engine:b scen ~tau) taus
+  in
+  let n = Array.length taus in
+  let outcomes =
+    Pool.with_pool ~jobs:2 (fun pool ->
+        Pool.map ~chunk:1 pool (2 * n) (fun j ->
+            let engine = if j mod 2 = 0 then a else b in
+            match Noise.Injection.noisy ~engine scen ~tau:taus.(j / 2) with
+            | r -> Some r
+            | exception Failure.Error _ -> None))
+  in
+  Array.iteri
+    (fun j r ->
+      let i = j / 2 in
+      if j mod 2 = 0 then
+        check_true (Printf.sprintf "A's case %d fails" i) (Option.is_none r)
+      else
+        match r with
+        | Some r ->
+            check_true
+              (Printf.sprintf "B's case %d bit-identical to a solo run" i)
+              (compare r solo.(i) = 0)
+        | None -> Alcotest.failf "B's case %d failed" i)
+    outcomes;
+  check_true "B carries no plan" (Option.is_none (Engine.faults b));
+  check_true "A's plan faulted every one of its solves"
+    (Fault.injected plan_a >= n);
+  (* Warm-up and pruning, read off B's cache and table while A's plan
+     is live; a plan on the same engine switches both off. *)
+  let sweep ?prune_tol_ps engine =
+    let cache = Cache.create () in
+    let t =
+      Noise.Eval.run_table ~techniques:sgdp_only ?prune_tol_ps
+        ~engine:(Engine.with_cache engine cache) scen
+    in
+    (t, Cache.hits cache)
+  in
+  let armed_b =
+    with_solver_faults ~engine:b Spice.Transient.Diverge
+      (Fault.Fraction { rate = 0.0; seed = 0 })
+  in
+  let _, hits_b = sweep b and _, hits_armed = sweep armed_b in
+  check_true "B warms up: the sweep reads every noisy run from the cache"
+    (hits_b >= hits_armed + n);
+  let pruned_b, _ = sweep ~prune_tol_ps:1.0 b in
+  let pruned_armed, _ = sweep ~prune_tol_ps:1.0 armed_b in
+  check_true "B prunes at tol > 0" (Option.is_some pruned_b.Noise.Eval.prune);
+  check_true "a planned engine does not prune"
+    (Option.is_none pruned_armed.Noise.Eval.prune);
+  let before = Fault.injected plan_a in
+  ignore (faulted_runs a 1);
+  Alcotest.(check int) "A's plan is still armed" (before + 1)
+    (Fault.injected plan_a)
+
 let test_sweep_rejects_corrupt_waveform () =
   let before = Resilience.Stats.snapshot () in
-  Spice.Transient.Fault.(arm (Nth { n = 0; kind = Corrupt }));
   let r =
-    Fun.protect ~finally:Spice.Transient.Fault.disarm (fun () ->
-        Noise.Injection.noiseless fast_scenario)
+    Noise.Injection.noiseless
+      ~engine:(with_solver_faults Spice.Transient.Corrupt (Fault.Nth 0))
+      fast_scenario
   in
   let d = Resilience.Stats.(diff (snapshot ()) before) in
   Alcotest.(check int) "validation caught the NaN waveform" 1
@@ -546,6 +609,8 @@ let suite =
       case "cache: remove" test_cache_remove;
       slow_case "sweep: recovers injected divergence"
         test_sweep_recovers_injected_divergence;
+      slow_case "fault: engine-scoped plans are isolated"
+        test_fault_plan_engine_scoped;
       slow_case "sweep: corrupt waveform rejected then recovered"
         test_sweep_rejects_corrupt_waveform;
       case "sweep: exhausted ladder yields typed rows"
